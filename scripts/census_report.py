@@ -8,16 +8,17 @@ Usage:
 import argparse
 import time
 
-from treeres.census import antichain_covers, check_complex, run_census
+from treeres.census import _census_reports, _tally
 
 
-def per_size_table(max_vertices: int):
+def per_size_table(max_vertices: int, reports):
     print(f"{'n':>3} {'complexes':>10} {'quasi-forests':>14} "
           f"{'forests':>8} {'pd<=1':>6} {'violations':>11}")
     for n in range(1, max_vertices + 1):
         total = qf = sf = pd1 = bad = 0
-        for masks in antichain_covers(n):
-            rep = check_complex((n, masks))
+        for rep in reports:
+            if rep.n != n:
+                continue
             total += 1
             qf += rep.quasi_forest
             sf += rep.simplicial_forest
@@ -33,8 +34,9 @@ def main():
     args = parser.parse_args()
 
     t0 = time.perf_counter()
-    per_size_table(args.max_vertices)
-    result = run_census(args.max_vertices, workers=args.workers)
+    reports = _census_reports(args.max_vertices, args.workers, full_trees=True)
+    per_size_table(args.max_vertices, reports)
+    result = _tally(args.max_vertices, reports)
     print()
     print("\n".join(result.summary_lines()))
     print(f"\nelapsed: {time.perf_counter() - t0:.1f}s")

@@ -54,7 +54,6 @@ from .resolution import (
 )
 from .homology import (
     BettiTable,
-    ExactMatrix,
     betti,
     is_exact_frame,
     pd_ideal,

@@ -17,9 +17,8 @@ from typing import Iterator
 
 from .complexes import (
     SimplicialComplex,
-    connected_components,
+    _DisjointSets,
     f_vector,
-    induced,
     is_connected,
     is_full_simplex,
     is_quasi_forest_by_induced,
@@ -36,8 +35,9 @@ from .duality import (
     sr_ideal,
 )
 from .homology import BETTI_GUARD, betti, reduced_homology_dims
-from .monomial import VariableSet, divides, lcm
+from .monomial import VariableSet, lcm
 from .resolution import (
+    _divisor_induced_connected,
     build_tree,
     differentials_in_maximal_ideal,
     enumerate_trees,
@@ -127,35 +127,15 @@ class ComplexReport:
 
 
 def _acyclic(n_vertices: int, edges) -> bool:
-    parent = list(range(n_vertices))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return False
-        parent[ra] = rb
-    return True
+    sets = _DisjointSets(n_vertices)
+    return all(sets.union(a, b) for a, b in edges)
 
 
 def _pairwise_connected(tree_lc) -> bool:
     """Divisor-induced connectivity checked only at pairwise lcms."""
-    D = tree_lc.complex
-    labels = tree_lc.labels
-    names = D.vertices.names
-    for i in range(len(labels)):
-        for j in range(i + 1, len(labels)):
-            m = lcm(labels[i], labels[j])
-            W = [v for v, lab in zip(names, labels) if divides(lab, m)]
-            sub = induced(D, W)
-            if isinstance(sub, SimplicialComplex) and len(connected_components(sub)) > 1:
-                return False
-    return True
+    return _divisor_induced_connected(
+        tree_lc, (lcm(a, b) for a, b in itertools.combinations(tree_lc.labels, 2))
+    )
 
 
 def _degree_filtration_is_spanning(tree_lc) -> bool:
@@ -174,20 +154,10 @@ def _degree_filtration_is_spanning(tree_lc) -> bool:
     )
 
     def components(edges, verts):
-        parent = {v: v for v in verts}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        sets = _DisjointSets(q)
         for a, b in edges:
-            parent[find(a)] = find(b)
-        groups: dict[int, set[int]] = {}
-        for v in verts:
-            groups.setdefault(find(v), set()).add(v)
-        return sorted(frozenset(g) for g in groups.values())
+            sets.union(a, b)
+        return {frozenset(g) for g in sets.groups(verts)}
 
     for d in degrees:
         verts = [i for i in range(q) if labels[i].degree() <= d]
@@ -285,18 +255,6 @@ def _check_euler(D: SimplicialComplex, rep: ComplexReport) -> None:
 
 def _check_threeway(D: SimplicialComplex, rep: ComplexReport, full_trees: bool) -> None:
     I = dual_generators(D)
-    if I.q > BETTI_GUARD:
-        # Oracle leg infeasible (facet counts past the Betti guard only
-        # occur at six vertices); the combinatorial legs must still agree.
-        if rep.quasi_forest:
-            T = build_tree(D)
-            if not (supports_resolution(T) and is_minimal_support(T)):
-                rep.violations.append("quasi-forest whose tree fails the criteria")
-        return
-    table = betti(I)
-    rep.pd_ideal = table.pd_quotient() - 1
-    pd_le_1 = rep.pd_ideal <= 1
-
     tree_route = False
     if rep.quasi_forest:
         try:
@@ -304,6 +262,15 @@ def _check_threeway(D: SimplicialComplex, rep: ComplexReport, full_trees: bool) 
             tree_route = supports_resolution(T) and is_minimal_support(T)
         except ValueError as exc:
             rep.violations.append(f"build_tree failed on a quasi-forest: {exc}")
+    if I.q > BETTI_GUARD:
+        # Oracle leg infeasible (facet counts past the Betti guard only
+        # occur at six vertices); the combinatorial legs must still agree.
+        if rep.quasi_forest and not tree_route:
+            rep.violations.append("quasi-forest whose tree fails the criteria")
+        return
+    table = betti(I)
+    rep.pd_ideal = table.pd_quotient() - 1
+    pd_le_1 = rep.pd_ideal <= 1
     if not (pd_le_1 == rep.quasi_forest == tree_route):
         rep.violations.append(
             f"three-way equivalence broken: pd<=1 is {pd_le_1}, "
@@ -415,6 +382,13 @@ def _worker(payload):
 
 
 def run_census(max_vertices: int, workers: int = 1, full_trees: bool = True) -> CensusResult:
+    return _tally(max_vertices, _census_reports(max_vertices, workers, full_trees))
+
+
+def _census_reports(
+    max_vertices: int, workers: int, full_trees: bool
+) -> list[ComplexReport]:
+    """One report per census complex, in enumeration order."""
     if max_vertices > 6:
         raise ValueError("census guard: max_vertices <= 6")
     payloads = [
@@ -422,17 +396,17 @@ def run_census(max_vertices: int, workers: int = 1, full_trees: bool = True) -> 
         for n in range(1, max_vertices + 1)
         for masks in antichain_covers(n)
     ]
-    result = CensusResult(max_vertices=max_vertices)
-    iso_seen: set[tuple] = set()
-
     if workers > 1:
         with Pool(workers) as pool:
-            reports = pool.map(
+            return pool.map(
                 _worker, [(p, full_trees) for p in payloads], chunksize=64
             )
-    else:
-        reports = [check_complex(p, full_trees=full_trees) for p in payloads]
+    return [check_complex(p, full_trees=full_trees) for p in payloads]
 
+
+def _tally(max_vertices: int, reports: list[ComplexReport]) -> CensusResult:
+    result = CensusResult(max_vertices=max_vertices)
+    iso_seen: set[tuple] = set()
     for rep in reports:
         result.total += 1
         key = (rep.n, iso_key(rep.n, rep.masks))

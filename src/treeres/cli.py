@@ -18,7 +18,6 @@ from .complexes import (
     complex_from_json,
     complex_to_json,
     is_connected,
-    is_leaf_order,
     is_quasi_forest_by_induced,
     leaf_order,
 )
@@ -33,6 +32,7 @@ from .monomial import (
 )
 from .resolution import (
     LabeledComplex,
+    _default_order,
     build_tree,
     enumerate_trees,
     floystad_tree,
@@ -92,6 +92,21 @@ def _tree_text(tree: LabeledComplex) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _facets_text(D) -> str:
+    return "".join(
+        f"F{i + 1} = {{{','.join(sorted(f, key=D.vertices.index))}}}\n"
+        for i, f in enumerate(D.facets)
+    )
+
+
+def _emit_tree(args, tree: LabeledComplex) -> None:
+    _write_dot(args, tree)
+    if args.format == "json":
+        _emit(args, _dump_json(labeled_complex_to_json(tree)))
+    else:
+        _emit(args, _tree_text(tree))
+
+
 # ---------------------------------------------------------------------------
 # Command handlers.
 # ---------------------------------------------------------------------------
@@ -101,11 +116,7 @@ def cmd_dual(args) -> int:
     if args.format == "json":
         _emit(args, _dump_json(complex_to_json(D)))
     else:
-        lines = [
-            f"F{i + 1} = {{{','.join(sorted(f, key=D.vertices.index))}}}"
-            for i, f in enumerate(D.facets)
-        ]
-        _emit(args, "\n".join(lines) + "\n")
+        _emit(args, _facets_text(D))
     return 0
 
 
@@ -123,11 +134,7 @@ def cmd_sr(args) -> int:
     if args.format == "json" or isinstance(D, EmptyComplex):
         _emit(args, _dump_json(complex_to_json(D)))
     else:
-        lines = [
-            f"F{i + 1} = {{{','.join(sorted(f, key=D.vertices.index))}}}"
-            for i, f in enumerate(D.facets)
-        ]
-        _emit(args, "\n".join(lines) + "\n")
+        _emit(args, _facets_text(D))
     return 0
 
 
@@ -182,22 +189,12 @@ def cmd_tree(args) -> int:
         trees = list(enumerate_trees(D))
         _emit_trees(args, trees)
         return 0
-    tree = build_tree(D)
-    _write_dot(args, tree)
-    if args.format == "json":
-        _emit(args, _dump_json(labeled_complex_to_json(tree)))
-    else:
-        _emit(args, _tree_text(tree))
+    _emit_tree(args, build_tree(D))
     return 0
 
 
 def cmd_floystad(args) -> int:
-    tree = floystad_tree(_load_ideal(args))
-    _write_dot(args, tree)
-    if args.format == "json":
-        _emit(args, _dump_json(labeled_complex_to_json(tree)))
-    else:
-        _emit(args, _tree_text(tree))
+    _emit_tree(args, floystad_tree(_load_ideal(args)))
     return 0
 
 
@@ -319,8 +316,7 @@ def cmd_verify(args) -> int:
         return 0
 
     D = dual_facets(I)
-    ident = tuple(range(D.q))
-    order = ident if is_leaf_order(D, ident) else leaf_order(D, "greedy")
+    order = _default_order(D)
     qf = order is not None
 
     tree_ok = False
@@ -373,8 +369,6 @@ def _add_io(sub, dot: bool = False) -> None:
     sub.add_argument("--input", default="-", help="input file (default stdin)")
     sub.add_argument("--output", default="-", help="output file (default stdout)")
     sub.add_argument("--format", choices=("text", "json"), default="text")
-    sub.add_argument("--seed", type=int, default=None,
-                     help="seed for randomized pipelines (current commands are deterministic)")
     if dot:
         sub.add_argument("--dot", default=None, help="write the tree as DOT")
 
@@ -425,7 +419,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, TypeError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -129,6 +129,63 @@ def is_full_simplex(D: SimplicialComplex) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Shared primitives: union-find and faces bucketed for boundary matrices.
+# ---------------------------------------------------------------------------
+
+class _DisjointSets:
+    """Union-find over range(n) with path halving."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, a: int, b: int) -> bool:
+        """Join the sets of a and b; False when they were already one set."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[ra] = rb
+        return True
+
+    def groups(self, items: Iterable[int]) -> list[list[int]]:
+        """The given items grouped by set, groups in order of first item."""
+        out: dict[int, list[int]] = {}
+        for x in items:
+            out.setdefault(self.find(x), []).append(x)
+        return list(out.values())
+
+
+def _faces_by_dim(face_sets: Iterable[Iterable[int]]) -> list[list[tuple[int, ...]]]:
+    """Nonempty faces as sorted index tuples, one sorted bucket per dimension."""
+    keys = [tuple(sorted(f)) for f in face_sets]
+    by_dim: list[list[tuple[int, ...]]] = [[] for _ in range(max(map(len, keys)))]
+    for key in keys:
+        by_dim[len(key) - 1].append(key)
+    for bucket in by_dim:
+        bucket.sort()
+    return by_dim
+
+
+def _signed_boundary(
+    by_dim: Sequence[Sequence[tuple[int, ...]]], d: int
+) -> Iterator[tuple[int, int, int]]:
+    """(row, col, sign) entries of the simplicial boundary from dimension d to d-1.
+
+    Signs alternate along the sorted vertex order of each face.
+    """
+    position = {face: p for p, face in enumerate(by_dim[d - 1])}
+    for col, face in enumerate(by_dim[d]):
+        for pos in range(len(face)):
+            yield position[face[:pos] + face[pos + 1:]], col, -1 if pos % 2 else 1
+
+
+# ---------------------------------------------------------------------------
 # Mask-level leaf machinery.
 # ---------------------------------------------------------------------------
 
@@ -376,23 +433,15 @@ def is_simplicial_forest(D: SimplicialComplex) -> bool:
 
 def connected_components(D: SimplicialComplex) -> tuple[frozenset[str], ...]:
     """Partition of the universe; unused ambient vertices are singletons."""
-    parent = list(range(D.q))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    sets = _DisjointSets(D.q)
     for i in range(D.q):
         for j in range(i + 1, D.q):
             if D._facet_masks[i] & D._facet_masks[j]:
-                parent[find(i)] = find(j)
-
-    groups: dict[int, set[str]] = {}
-    for i in range(D.q):
-        groups.setdefault(find(i), set()).update(D.facets[i])
-    parts = [frozenset(g) for g in groups.values()]
+                sets.union(i, j)
+    parts = [
+        frozenset().union(*(D.facets[i] for i in group))
+        for group in sets.groups(range(D.q))
+    ]
     for name in D.vertices.names:
         if name not in D.used_vertices:
             parts.append(frozenset({name}))
@@ -417,9 +466,20 @@ def complex_to_json(D) -> dict:
     }
 
 
+def _is_name_list(x) -> bool:
+    return isinstance(x, list) and all(isinstance(v, str) for v in x)
+
+
 def complex_from_json(obj: dict):
     if not isinstance(obj, dict) or "vertices" not in obj or "facets" not in obj:
         raise ValueError("complex JSON needs 'vertices' and 'facets'")
+    if not _is_name_list(obj["vertices"]) or not (
+        isinstance(obj["facets"], list) and all(map(_is_name_list, obj["facets"]))
+    ):
+        raise ValueError(
+            "complex JSON needs 'vertices' as a list of names "
+            "and 'facets' as a list of name lists"
+        )
     vars = VariableSet(tuple(obj["vertices"]))
     facets = tuple(frozenset(f) for f in obj["facets"])
     if not facets:

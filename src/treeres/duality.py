@@ -38,14 +38,33 @@ def _guard(n: int) -> None:
         raise ValueError(f"subset-lattice guard exceeded (n={n})")
 
 
+def _maximal_faces(vars: VariableSet, is_face):
+    """Complex on vars whose faces are the nonempty masks passing is_face.
+
+    is_face must be closed under taking subsets.  Masks are swept by
+    descending size, so the first face not inside a recorded facet is a
+    facet.
+    """
+    _guard(vars.n)
+    n = vars.n
+    facets: list[int] = []
+    for mask in sorted(range(1, 1 << n), key=lambda m: -bin(m).count("1")):
+        if is_face(mask) and not any(mask & ~f == 0 for f in facets):
+            facets.append(mask)
+    if not facets:
+        return EmptyComplex(vars)
+    names = vars.names
+    fsets = sorted(
+        tuple(names[i] for i in range(n) if m >> i & 1) for m in facets
+    )
+    return SimplicialComplex(vars, tuple(frozenset(f) for f in fsets))
+
+
 def sr_ideal(D):
     """Squarefree ideal generated by the minimal non-faces of D."""
     if isinstance(D, EmptyComplex):
         vars = D.vertices
-        gens = tuple(
-            Monomial(vars, tuple(1 if j == i else 0 for j in range(vars.n)))
-            for i in range(vars.n)
-        )
+        gens = tuple(_mask_monomial(vars, 1 << i) for i in range(vars.n))
         return MonomialIdeal(vars, gens)
     if is_full_simplex(D):
         return ZeroIdeal(D.vertices)
@@ -72,25 +91,9 @@ def sr_complex(I: MonomialIdeal):
     """Complex of supports of squarefree monomials outside I."""
     if not I.is_squarefree():
         raise ValueError("Stanley-Reisner complex needs a squarefree ideal; polarize first")
-    _guard(I.vars.n)
-    n = I.vars.n
     gmasks = [g.support_mask for g in I.generators]
-    facets: list[int] = []
-    # Descending size: the first non-containing masks found are the facets.
-    masks = sorted(range(1, 1 << n), key=lambda m: -bin(m).count("1"))
-    for mask in masks:
-        if any(g & ~mask == 0 for g in gmasks):
-            continue  # inside the ideal
-        if any(mask & ~f == 0 for f in facets):
-            continue  # inside a recorded facet
-        facets.append(mask)
-    if not facets:
-        return EmptyComplex(I.vars)
-    names = I.vars.names
-    fsets = sorted(
-        tuple(names[i] for i in range(n) if m >> i & 1) for m in facets
-    )
-    return SimplicialComplex(I.vars, tuple(frozenset(f) for f in fsets))
+    # A face: no generator's support lies inside the mask.
+    return _maximal_faces(I.vars, lambda mask: all(g & ~mask for g in gmasks))
 
 
 def alexander_dual(D):
@@ -108,30 +111,14 @@ def alexander_dual(D):
         return SimplicialComplex(D.vertices, facets)
     if is_full_simplex(D):
         return VoidComplex(D.vertices)
-    _guard(D.n)
-    n = D.n
-    full = (1 << n) - 1
+    full = (1 << D.n) - 1
     fmasks = D._facet_masks
 
     def is_face(mask: int) -> bool:
         # The empty face belongs to every complex here.
         return mask == 0 or any(mask & ~f == 0 for f in fmasks)
 
-    facets: list[int] = []
-    masks = sorted(range(1, 1 << n), key=lambda m: -bin(m).count("1"))
-    for mask in masks:
-        if is_face(full & ~mask):
-            continue
-        if any(mask & ~f == 0 for f in facets):
-            continue
-        facets.append(mask)
-    if not facets:
-        return EmptyComplex(D.vertices)
-    names = D.vertices.names
-    fsets = sorted(
-        tuple(names[i] for i in range(n) if m >> i & 1) for m in facets
-    )
-    return SimplicialComplex(D.vertices, tuple(frozenset(f) for f in fsets))
+    return _maximal_faces(D.vertices, lambda mask: not is_face(full & ~mask))
 
 
 def dual_facets(I: MonomialIdeal) -> SimplicialComplex:

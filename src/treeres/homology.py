@@ -13,60 +13,33 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm as int_lcm
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .complexes import EmptyComplex, VoidComplex, faces
+from .complexes import (
+    EmptyComplex,
+    VoidComplex,
+    _faces_by_dim,
+    _signed_boundary,
+    faces,
+)
 from .monomial import Monomial, MonomialIdeal, VariableSet, divides, lcm_closure
-from .resolution import Frame
+from .resolution import Frame, _squares_to_zero
 
 FACE_GUARD = 1 << 16
 BETTI_GUARD = 12
 
 
-@dataclass(frozen=True)
-class ExactMatrix:
-    """Dense matrix of normalized rationals."""
-
-    rows: int
-    cols: int
-    entries: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "entries",
-            tuple(tuple(Fraction(x) for x in row) for row in self.entries),
-        )
-        if len(self.entries) != self.rows or any(
-            len(row) != self.cols for row in self.entries
-        ):
-            raise ValueError("entry grid does not match the declared shape")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence], cols: int | None = None) -> "ExactMatrix":
-        rows = [list(r) for r in rows]
-        if cols is None:
-            cols = len(rows[0]) if rows else 0
-        return cls(len(rows), cols, tuple(tuple(Fraction(x) for x in r) for r in rows))
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
-            self.cols,
-            self.rows,
-            tuple(
-                tuple(self.entries[r][c] for r in range(self.rows))
-                for c in range(self.cols)
-            ),
-        )
-
-
 def _integer_rows(M) -> list[list[int]]:
-    if isinstance(M, ExactMatrix):
-        rows = M.entries
-    else:
-        rows = [list(r) for r in M]
+    """Fresh integer rows of M (rank_exact eliminates in place).
+
+    Integer rows are copied as they are; rational rows are scaled by the
+    lcm of their denominators.
+    """
     out = []
-    for row in rows:
+    for row in M:
+        if all(isinstance(x, int) for x in row):
+            out.append(list(row))
+            continue
         fracs = [Fraction(x) for x in row]
         scale = 1
         for x in fracs:
@@ -124,19 +97,12 @@ def rank_exact(M) -> int:
 
 def _boundary_ranks(faces_by_dim: list[list[tuple[int, ...]]]) -> list[int]:
     """Ranks of the augmented boundary maps d_0, d_1, ..., d_top."""
-    position = [
-        {face: p for p, face in enumerate(bucket)} for bucket in faces_by_dim
-    ]
-    ranks = []
     # d_0: augmentation row of ones.
-    ranks.append(1 if faces_by_dim[0] else 0)
+    ranks = [1 if faces_by_dim[0] else 0]
     for d in range(1, len(faces_by_dim)):
-        rows, cols = len(faces_by_dim[d - 1]), len(faces_by_dim[d])
-        mat = [[0] * cols for _ in range(rows)]
-        for c, face in enumerate(faces_by_dim[d]):
-            for pos in range(len(face)):
-                sub = face[:pos] + face[pos + 1:]
-                mat[position[d - 1][sub]][c] = -1 if pos % 2 else 1
+        mat = [[0] * len(faces_by_dim[d]) for _ in faces_by_dim[d - 1]]
+        for row, col, sign in _signed_boundary(faces_by_dim, d):
+            mat[row][col] = sign
         ranks.append(rank_exact(mat))
     return ranks
 
@@ -153,12 +119,8 @@ def homology_dims_of_faces(face_sets: Iterable[frozenset[int]]) -> tuple[int, ..
         return (1,)
     if len(face_list) > FACE_GUARD:
         raise ValueError(f"homology guard exceeded ({len(face_list)} faces)")
-    top = max(len(f) for f in face_list) - 1
-    by_dim: list[list[tuple[int, ...]]] = [[] for _ in range(top + 1)]
-    for f in face_list:
-        by_dim[len(f) - 1].append(tuple(sorted(f)))
-    for bucket in by_dim:
-        bucket.sort()
+    by_dim = _faces_by_dim(face_list)
+    top = len(by_dim) - 1
     ranks = _boundary_ranks(by_dim)
     ranks.append(0)  # d_{top+1} = 0
     dims = [1 - ranks[0]]
@@ -194,12 +156,12 @@ def is_exact_frame(fr: Frame) -> bool:
     dim ker d_i = rank d_{i+1} for i >= 1.
     """
     length = len(fr.dims) - 1
-    for i in range(1, length):
-        a, b = fr.matrices[i - 1], fr.matrices[i]
-        for r in range(fr.dims[i - 1]):
-            for c in range(fr.dims[i + 1]):
-                if sum(a[r][k] * b[k][c] for k in range(fr.dims[i])) != 0:
-                    raise ValueError("frame differentials do not compose to zero")
+    sparse = [
+        [(r, c, v) for r, row in enumerate(mat) for c, v in enumerate(row) if v]
+        for mat in fr.matrices
+    ]
+    if not _squares_to_zero(sparse):
+        raise ValueError("frame differentials do not compose to zero")
     ranks = [rank_exact(mat) for mat in fr.matrices]
     ranks.append(0)
     for i in range(1, length + 1):

@@ -15,7 +15,10 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .complexes import (
     SimplicialComplex,
+    _DisjointSets,
+    _faces_by_dim,
     _joint_positions,
+    _signed_boundary,
     connected_components,
     faces,
     induced,
@@ -118,32 +121,29 @@ class FreeComplex:
     def ranks(self) -> tuple[int, ...]:
         return tuple(len(m) for m in self.modules)
 
-    def dense(self, i: int) -> list[list[Entry | None]]:
-        """Row-major dense form of d_i (entries or None)."""
-        rows, cols = len(self.modules[i - 1]), len(self.modules[i])
-        out: list[list[Entry | None]] = [[None] * cols for _ in range(rows)]
-        for e in self.differentials[i - 1]:
-            out[e.row][e.col] = e
-        return out
-
     def boundary_squares_to_zero(self) -> bool:
-        """Symbolic check that consecutive differentials compose to zero."""
-        for i in range(1, self.length):
-            acc: dict[tuple[int, int, tuple[int, ...]], int] = {}
-            inner = {}
-            for e in self.differentials[i - 1]:
-                inner.setdefault(e.col, []).append(e)
-            for f in self.differentials[i]:
-                for e in inner.get(f.row, ()):
-                    mono = tuple(
-                        a + b
-                        for a, b in zip(e.monomial.exponents, f.monomial.exponents)
-                    )
-                    key = (e.row, f.col, mono)
-                    acc[key] = acc.get(key, 0) + e.sign * f.sign
-            if any(v != 0 for v in acc.values()):
-                return False
-        return True
+        """Symbolic check that consecutive differentials compose to zero.
+
+        Every entry is the column/row multidegree quotient (checked on
+        construction), so all products landing on one (row, col) share a
+        monomial and the signs alone decide.
+        """
+        return _squares_to_zero(self.differentials)
+
+
+def _squares_to_zero(differentials: Sequence[Sequence[tuple]]) -> bool:
+    """Consecutive sparse matrices of (row, col, value, ...) entries compose to zero."""
+    for first, second in zip(differentials, differentials[1:]):
+        by_col: dict[int, list[tuple[int, int]]] = {}
+        for row, col, value, *_ in first:
+            by_col.setdefault(col, []).append((row, value))
+        acc: dict[tuple[int, int], int] = {}
+        for mid, col, value, *_ in second:
+            for row, v in by_col.get(mid, ()):
+                acc[row, col] = acc.get((row, col), 0) + v * value
+        if any(acc.values()):
+            return False
+    return True
 
 
 def homogenize(L: LabeledComplex) -> FreeComplex:
@@ -155,44 +155,21 @@ def homogenize(L: LabeledComplex) -> FreeComplex:
     """
     D = L.complex
     index = D.vertices.index
-    by_dim: list[list[tuple[int, ...]]] = [[] for _ in range(D.dim + 1)]
-    for face in faces(D):
-        key = tuple(sorted(index(v) for v in face))
-        by_dim[len(key) - 1].append(key)
-    for bucket in by_dim:
-        bucket.sort()
-    position = [
-        {face: p for p, face in enumerate(bucket)} for bucket in by_dim
-    ]
-
     names = D.vertices.names
-    modules: list[tuple[Monomial, ...]] = [(Monomial.one(L.label_vars),)]
-    for bucket in by_dim:
-        modules.append(
-            tuple(L.face_label(names[i] for i in face) for face in bucket)
-        )
-
-    diffs: list[tuple[Entry, ...]] = []
-    # d_1: boundary of a vertex is the empty face.
-    diffs.append(
-        tuple(
-            Entry(0, p, 1, modules[1][p])
-            for p in range(len(by_dim[0]))
-        )
+    # The empty face heads the list, so d_1 comes out as the row of labels.
+    by_dim = [[()]] + _faces_by_dim([index(v) for v in face] for face in faces(D))
+    modules = tuple(
+        tuple(L.face_label(names[i] for i in face) for face in bucket)
+        for bucket in by_dim
     )
-    for d in range(1, D.dim + 1):
-        entries = []
-        for col, face in enumerate(by_dim[d]):
-            big = modules[d + 1][col]
-            for pos in range(len(face)):
-                sub = face[:pos] + face[pos + 1:]
-                row = position[d - 1][sub]
-                small = modules[d][row]
-                entries.append(
-                    Entry(row, col, -1 if pos % 2 else 1, quotient(big, small))
-                )
-        diffs.append(tuple(entries))
-    return FreeComplex(L.label_vars, tuple(modules), tuple(diffs))
+    diffs = tuple(
+        tuple(
+            Entry(row, col, sign, quotient(modules[d][col], modules[d - 1][row]))
+            for row, col, sign in _signed_boundary(by_dim, d)
+        )
+        for d in range(1, len(by_dim))
+    )
+    return FreeComplex(L.label_vars, modules, diffs)
 
 
 def _generator_vertex_names(q: int) -> VariableSet:
@@ -224,9 +201,17 @@ def supports_resolution(L: LabeledComplex) -> bool:
     """
     if not is_simplicial_forest(L.complex):
         raise ValueError("not a simplicial forest")
+    return _divisor_induced_connected(L, lcm_closure(L.labels))
+
+
+def _divisor_induced_connected(
+    L: LabeledComplex, multidegrees: Iterable[Monomial]
+) -> bool:
+    """For each m, the subcomplex induced on the vertices whose labels
+    divide m is connected or empty."""
     D = L.complex
     names = D.vertices.names
-    for m in lcm_closure(L.labels):
+    for m in multidegrees:
         W = [v for v, lab in zip(names, L.labels) if divides(lab, m)]
         if not W:
             continue
@@ -274,13 +259,26 @@ def _resolve_order(D: SimplicialComplex, order):
         if not is_leaf_order(D, order):
             raise ValueError("the given order is not a leaf order")
         return order
-    identity = tuple(range(D.q))
-    if is_leaf_order(D, identity):
-        return identity
-    found = leaf_order(D, "greedy")
+    found = _default_order(D)
     if found is None:
         raise ValueError("not a quasi-forest: no leaf order exists")
     return found
+
+
+def _default_order(D: SimplicialComplex) -> tuple[int, ...] | None:
+    """The identity order when it is a leaf order, else the greedy one (None if none)."""
+    identity = tuple(range(D.q))
+    return identity if is_leaf_order(D, identity) else leaf_order(D, "greedy")
+
+
+def _joint_choices(D: SimplicialComplex, order: Sequence[int]) -> list[list[int]]:
+    """For each step i >= 1 of a leaf order, the facets (by index) that are
+    joints of facet order[i] in the prefix, earliest in the order first."""
+    masks = D._facet_masks
+    return [
+        [order[u] for u in _joint_positions([masks[order[j]] for j in range(i + 1)], i)]
+        for i in range(1, D.q)
+    ]
 
 
 def build_tree(D: SimplicialComplex, order=None, joint_choice: str = "smallest-index"):
@@ -298,30 +296,20 @@ def build_tree(D: SimplicialComplex, order=None, joint_choice: str = "smallest-i
         raise ValueError(f"unknown joint choice {joint_choice!r}")
     labels = dual_generators(D).generators
     order = _resolve_order(D, order)
-    masks = D._facet_masks
-    edges = []
-    for i in range(1, D.q):
-        prefix = [masks[order[j]] for j in range(i + 1)]
-        joint_pos = _joint_positions(prefix, i)
-        u = min(joint_pos)
-        edges.append((order[u], order[i]))
+    edges = [
+        (choices[0], order[i])
+        for i, choices in enumerate(_joint_choices(D, order), start=1)
+    ]
     return LabeledComplex(_tree_complex(D.q, edges), labels)
 
 
 def enumerate_trees(D: SimplicialComplex) -> Iterator[LabeledComplex]:
     """Every distinct labeled tree the construction can produce."""
     labels = dual_generators(D).generators
-    masks = D._facet_masks
     seen: set[frozenset[tuple[int, int]]] = set()
 
     for order in all_leaf_orders(D):
-        choices_per_step = []
-        for i in range(1, D.q):
-            prefix = [masks[order[j]] for j in range(i + 1)]
-            choices_per_step.append(
-                [order[u] for u in _joint_positions(prefix, i)]
-            )
-        for picks in itertools.product(*choices_per_step):
+        for picks in itertools.product(*_joint_choices(D, order)):
             edges = tuple(
                 (picks[i - 1], order[i]) for i in range(1, D.q)
             )
@@ -351,22 +339,8 @@ def floystad_tree(I: MonomialIdeal) -> LabeledComplex:
         ((lcm(gens[i], gens[j]).degree(), i, j)
          for i in range(q) for j in range(i + 1, q)),
     )
-    parent = list(range(q))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    edges: list[tuple[int, int]] = []
-    for _, i, j in candidates:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-            edges.append((i, j))
-            if len(edges) == q - 1:
-                break
+    sets = _DisjointSets(q)
+    edges = [(i, j) for _, i, j in candidates if sets.union(i, j)]
     if len(edges) != q - 1:
         raise ValueError("spanning construction failed; precondition violated")
     return LabeledComplex(_tree_complex(q, edges), gens)

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import treeres
 from treeres.cli import main
 from treeres.complexes import complex_from_json
 from treeres.homology import betti_from_json
@@ -214,8 +219,28 @@ class TestErrors:
         assert "line 1" in err
 
     def test_unknown_flag_rejected(self, six_var_file):
-        with pytest.raises(SystemExit):
-            main(["pd", "--input", six_var_file, "--frobnicate"])
+        for flag in (["--frobnicate"], ["--seed", "1"]):
+            with pytest.raises(SystemExit):
+                main(["pd", "--input", six_var_file, *flag])
+
+    @pytest.mark.parametrize(
+        "complex_json",
+        [
+            {"vertices": [1], "facets": [[1]]},
+            {"vertices": ["a"], "facets": "a"},
+        ],
+        ids=["integer-vertices", "string-facets"],
+    )
+    def test_malformed_complex_is_an_error(self, complex_json):
+        src = str(Path(treeres.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "treeres", "quasiforest"],
+            input=json.dumps(complex_json), capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
 
     def test_missing_file(self, capsys):
         assert main(["pd", "--input", "/nonexistent/ideal.txt"]) == 2

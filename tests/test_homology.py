@@ -7,7 +7,6 @@ import hypothesis.strategies as st
 from treeres.complexes import EmptyComplex, VoidComplex, f_vector
 from treeres.duality import dual_facets
 from treeres.homology import (
-    ExactMatrix,
     betti,
     betti_from_json,
     betti_to_json,
@@ -24,6 +23,8 @@ from treeres.resolution import (
     LabeledComplex,
     build_tree,
     frame,
+    free_complex_from_json,
+    free_complex_to_json,
     homogenize,
     supports_resolution,
     taylor,
@@ -87,29 +88,13 @@ class TestRank:
         mat = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]]
         assert rank_exact(mat) == naive_rank(mat)
 
-    def test_exact_matrix_input(self):
-        M = ExactMatrix.from_rows([[2, 4], [1, 2]])
-        assert rank_exact(M) == 1
-
     @given(int_matrices)
     def test_matches_naive_elimination(self, rows):
         assert rank_exact(rows) == naive_rank(rows)
 
     @given(int_matrices)
     def test_transpose_invariant(self, rows):
-        M = ExactMatrix.from_rows(rows)
-        assert rank_exact(M) == rank_exact(M.transpose())
-
-
-class TestExactMatrix:
-    def test_normalized_fractions(self):
-        M = ExactMatrix.from_rows([[Fraction(2, 4)]])
-        assert M.entries[0][0] == Fraction(1, 2)
-        assert M.entries[0][0].denominator == 2
-
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            ExactMatrix(2, 2, ((Fraction(1),),))
+        assert rank_exact(rows) == rank_exact([list(col) for col in zip(*rows)])
 
 
 class TestReducedHomology:
@@ -154,6 +139,16 @@ class TestExactFrame:
         bad = Frame((1, 2, 1), (((1, 1),), ((1,), (0,))))
         with pytest.raises(ValueError):
             is_exact_frame(bad)
+
+    def test_flipped_sign_fails_both_composition_checks(self):
+        # Taylor complex of two generators with one d_2 sign flipped: every
+        # entry is still the multidegree quotient, but d_1 d_2 != 0.
+        payload = free_complex_to_json(taylor(parse_ideal("vars x1 x2\nx1\nx2\n")))
+        payload["differentials"][1][0]["sign"] *= -1
+        F = free_complex_from_json(payload)
+        assert not F.boundary_squares_to_zero()
+        with pytest.raises(ValueError):
+            is_exact_frame(frame(F))
 
     def test_detects_failure_of_exactness(self):
         # d2 = 0 on a rank-2 kernel: homology survives in degree 1.
