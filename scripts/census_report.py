@@ -34,7 +34,7 @@ def main():
     args = parser.parse_args()
 
     t0 = time.perf_counter()
-    reports = _census_reports(args.max_vertices, args.workers, full_trees=True)
+    reports = _census_reports(args.max_vertices, args.workers)
     per_size_table(args.max_vertices, reports)
     result = _tally(args.max_vertices, reports)
     print()

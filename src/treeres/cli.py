@@ -74,7 +74,7 @@ def _dump_json(obj) -> str:
 
 
 def _write_dot(args, tree: LabeledComplex) -> None:
-    if getattr(args, "dot", None):
+    if args.dot:
         Path(args.dot).write_text(tree_to_dot(tree))
 
 
@@ -168,7 +168,7 @@ def cmd_quasiforest(args) -> int:
     _emit(args, "\n".join(lines) + "\n")
     if (greedy is not None) != (exhaustive is not None) or ok != induced_ok:
         return _abort_with_reproducer(
-            args, "quasi-forest recognizers disagree", {"complex": complex_to_json(D)}
+            "quasi-forest recognizers disagree", {"complex": complex_to_json(D)}
         )
     return 0 if ok else 1
 
@@ -214,7 +214,6 @@ def cmd_resolve(args) -> int:
     minimal = is_minimal_support(tree)
     if not (supports and minimal):
         return _abort_with_reproducer(
-            args,
             "built tree failed the resolution criteria",
             {"ideal": format_ideal(I)},
         )
@@ -287,8 +286,8 @@ def cmd_polarize(args) -> int:
     return 0
 
 
-def _abort_with_reproducer(args, message: str, payload: dict) -> int:
-    path = Path(getattr(args, "reproducer", None) or REPRODUCER)
+def _abort_with_reproducer(message: str, payload: dict) -> int:
+    path = Path(REPRODUCER)
     payload = dict(payload)
     payload["failure"] = message
     path.write_text(_dump_json(payload))
@@ -326,7 +325,6 @@ def cmd_verify(args) -> int:
 
     if not (pd_le_1 == qf == tree_ok):
         return _abort_with_reproducer(
-            args,
             f"one-sided equivalence: pd<=1 {pd_le_1}, quasi-forest {qf}, tree {tree_ok}",
             {"ideal": format_ideal(I)},
         )
@@ -350,14 +348,10 @@ def cmd_census(args) -> int:
     result = run_census(args.max_vertices, workers=args.workers)
     _emit(args, "\n".join(result.summary_lines()) + "\n")
     if result.violations:
-        path = Path(getattr(args, "reproducer", None) or REPRODUCER)
-        path.write_text(_dump_json({"violations": result.violations[:20]}))
-        print(
-            f"error: {len(result.violations)} invariant violations; "
-            f"reproducer written to {path}",
-            file=sys.stderr,
+        return _abort_with_reproducer(
+            f"{len(result.violations)} invariant violations",
+            {"violations": result.violations[:20]},
         )
-        return 2
     return 0
 
 
@@ -365,12 +359,12 @@ def cmd_census(args) -> int:
 # Parser.
 # ---------------------------------------------------------------------------
 
-def _add_io(sub, dot: bool = False) -> None:
-    sub.add_argument("--input", default="-", help="input file (default stdin)")
-    sub.add_argument("--output", default="-", help="output file (default stdout)")
-    sub.add_argument("--format", choices=("text", "json"), default="text")
-    if dot:
-        sub.add_argument("--dot", default=None, help="write the tree as DOT")
+_FLAGS = {
+    "--input": {"default": "-", "help": "input file (default stdin)"},
+    "--output": {"default": "-", "help": "output file (default stdout)"},
+    "--format": {"choices": ("text", "json"), "default": "text"},
+    "--dot": {"default": None, "help": "write the tree as DOT"},
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -383,28 +377,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    io = ("--input", "--output")
+    formatted = io + ("--format",)
+    dotted = formatted + ("--dot",)
     specs = [
-        ("dual", cmd_dual, "facets of the dual complex, one per generator", False),
-        ("sr", cmd_sr, "Stanley-Reisner transform (auto-detects direction)", False),
-        ("quasiforest", cmd_quasiforest, "leaf-order recognizers (exit 1 when none)", False),
-        ("tree", cmd_tree, "build the labeled tree from a quasi-forest", True),
-        ("floystad", cmd_floystad, "degree-ordered spanning tree construction", True),
-        ("resolve", cmd_resolve, "tree, homogenization, and criteria for an ideal", True),
-        ("taylor", cmd_taylor, "homogenized full simplex on the generators", False),
-        ("betti", cmd_betti, "graded Betti numbers of S/I (exact oracle)", False),
-        ("pd", cmd_pd, "projective dimension of the ideal", False),
-        ("verify", cmd_verify, "three-way equivalence for one ideal", False),
-        ("polarize", cmd_polarize, "squarefree polarization with variable map", False),
+        ("dual", cmd_dual, "facets of the dual complex, one per generator", formatted),
+        ("sr", cmd_sr, "Stanley-Reisner transform (auto-detects direction)", formatted),
+        ("quasiforest", cmd_quasiforest, "leaf-order recognizers (exit 1 when none)", io),
+        ("tree", cmd_tree, "build the labeled tree from a quasi-forest", dotted),
+        ("floystad", cmd_floystad, "degree-ordered spanning tree construction", dotted),
+        ("resolve", cmd_resolve, "tree, homogenization, and criteria for an ideal", dotted),
+        ("taylor", cmd_taylor, "homogenized full simplex on the generators", formatted),
+        ("betti", cmd_betti, "graded Betti numbers of S/I (exact oracle)", formatted),
+        ("pd", cmd_pd, "projective dimension of the ideal", io),
+        ("verify", cmd_verify, "three-way equivalence for one ideal", io),
+        ("polarize", cmd_polarize, "squarefree polarization with variable map", formatted),
     ]
-    for name, handler, help_text, dot in specs:
+    for name, handler, help_text, flags in specs:
         p = sub.add_parser(name, help=help_text)
-        _add_io(p, dot=dot)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
         if name == "tree":
             p.add_argument("--joint", choices=("smallest", "all"), default="smallest")
         p.set_defaults(handler=handler)
 
     c = sub.add_parser("census", help="enumerate small complexes and verify all invariants")
-    _add_io(c)
+    c.add_argument("--output", **_FLAGS["--output"])
     c.add_argument("--max-vertices", type=int, required=True)
     c.add_argument("--workers", type=int, default=1)
     c.set_defaults(handler=cmd_census)

@@ -106,12 +106,6 @@ class SimplicialComplex:
             self.vertices.names[i] for i in range(self.n) if mask >> i & 1
         )
 
-    def canonical_facets(self) -> tuple[tuple[str, ...], ...]:
-        keyed = sorted(
-            tuple(sorted(f, key=self.vertices.index)) for f in self.facets
-        )
-        return tuple(keyed)
-
     def __repr__(self):
         facets = ", ".join(
             "{" + ",".join(sorted(f, key=self.vertices.index)) + "}"

@@ -226,9 +226,6 @@ class MonomialIdeal:
             other.generators
         )
 
-    def contains(self, m: Monomial) -> bool:
-        return any(divides(g, m) for g in self.generators)
-
     def __str__(self) -> str:
         return "(" + ", ".join(str(g) for g in self.generators) + ")"
 

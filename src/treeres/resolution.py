@@ -71,9 +71,6 @@ class LabeledComplex:
             return Monomial.one(self.label_vars)
         return lcm_all(ms)
 
-    def label_ideal(self) -> MonomialIdeal:
-        return MonomialIdeal(self.label_vars, self.labels)
-
 
 class Entry(NamedTuple):
     row: int
@@ -102,6 +99,8 @@ class FreeComplex:
             raise ValueError("need one differential per positive degree")
         for i, entries in enumerate(self.differentials, start=1):
             rows, cols = len(self.modules[i - 1]), len(self.modules[i])
+            if len({(e.row, e.col) for e in entries}) != len(entries):
+                raise ValueError(f"two entries at one position in d_{i}")
             for e in entries:
                 if not (0 <= e.row < rows and 0 <= e.col < cols):
                     raise ValueError(f"entry out of shape in d_{i}")
@@ -271,7 +270,7 @@ def _default_order(D: SimplicialComplex) -> tuple[int, ...] | None:
     return identity if is_leaf_order(D, identity) else leaf_order(D, "greedy")
 
 
-def _joint_choices(D: SimplicialComplex, order: Sequence[int]) -> list[list[int]]:
+def _step_joints(D: SimplicialComplex, order: Sequence[int]) -> list[list[int]]:
     """For each step i >= 1 of a leaf order, the facets (by index) that are
     joints of facet order[i] in the prefix, earliest in the order first."""
     masks = D._facet_masks
@@ -281,24 +280,18 @@ def _joint_choices(D: SimplicialComplex, order: Sequence[int]) -> list[list[int]
     ]
 
 
-def build_tree(D: SimplicialComplex, order=None, joint_choice: str = "smallest-index"):
+def build_tree(D: SimplicialComplex, order=None) -> LabeledComplex:
     """Tree on one vertex per facet, labeled by the complement generators.
 
-    Walks the leaf order; each new vertex is joined to a joint of its facet
-    in the prefix subcollection.  ``smallest-index`` picks the earliest
-    joint in the order and returns a single LabeledComplex;
-    ``enumerate-all`` returns the tuple of all distinct trees obtainable
-    across every leaf order and every joint choice.
+    Walks the leaf order; each new vertex is joined to the earliest joint
+    of its facet in the prefix subcollection.  ``enumerate_trees`` gives
+    every tree across all leaf orders and joint choices.
     """
-    if joint_choice == "enumerate-all":
-        return tuple(enumerate_trees(D))
-    if joint_choice != "smallest-index":
-        raise ValueError(f"unknown joint choice {joint_choice!r}")
     labels = dual_generators(D).generators
     order = _resolve_order(D, order)
     edges = [
         (choices[0], order[i])
-        for i, choices in enumerate(_joint_choices(D, order), start=1)
+        for i, choices in enumerate(_step_joints(D, order), start=1)
     ]
     return LabeledComplex(_tree_complex(D.q, edges), labels)
 
@@ -309,7 +302,7 @@ def enumerate_trees(D: SimplicialComplex) -> Iterator[LabeledComplex]:
     seen: set[frozenset[tuple[int, int]]] = set()
 
     for order in all_leaf_orders(D):
-        for picks in itertools.product(*_joint_choices(D, order)):
+        for picks in itertools.product(*_step_joints(D, order)):
             edges = tuple(
                 (picks[i - 1], order[i]) for i in range(1, D.q)
             )

@@ -15,6 +15,8 @@ from treeres.complexes import (
 )
 from treeres.duality import dual_generators
 from treeres.homology import pd_ideal
+from treeres.monomial import parse_ideal
+from treeres.resolution import free_complex_from_json, free_complex_to_json, taylor
 
 
 class TestEnumeration:
@@ -130,3 +132,30 @@ class TestInvariantBattery:
                     assert is_minimal_support(T)
                     assert _degree_filtration_is_spanning(T)
         assert trees_checked == 2207
+
+
+def _flipped_taylor(I):
+    # The Taylor complex of x1, x2 with one d_2 sign flipped: d.d != 0.
+    payload = free_complex_to_json(taylor(parse_ideal("vars x1 x2\nx1\nx2\n")))
+    payload["differentials"][1][0]["sign"] *= -1
+    return free_complex_from_json(payload)
+
+
+def _failing_build_tree(D):
+    raise ValueError("no tree")
+
+
+@pytest.mark.parametrize(
+    "name, replacement, masks, violation",
+    [
+        ("taylor", _flipped_taylor, (0b011, 0b110, 0b101),
+         "taylor differential does not square to zero"),
+        ("build_tree", _failing_build_tree, (0b011, 0b110),
+         "build_tree failed on a quasi-forest: no tree"),
+    ],
+    ids=["taylor-squares-nonzero", "build-tree-fails"],
+)
+def test_recorded_violation_does_not_crash(monkeypatch, name, replacement, masks, violation):
+    monkeypatch.setattr(f"treeres.census.{name}", replacement)
+    rep = check_complex((3, masks))
+    assert violation in rep.violations

@@ -219,9 +219,18 @@ class TestErrors:
         assert "line 1" in err
 
     def test_unknown_flag_rejected(self, six_var_file):
-        for flag in (["--frobnicate"], ["--seed", "1"]):
+        ideal = ["--input", six_var_file]
+        for argv in (
+            ["pd", *ideal, "--frobnicate"],
+            ["pd", *ideal, "--seed", "1"],
+            ["quasiforest", *ideal, "--format", "json"],
+            ["pd", *ideal, "--format", "json"],
+            ["verify", *ideal, "--format", "json"],
+            ["census", "--max-vertices", "1", "--format", "json"],
+            ["census", "--max-vertices", "1", *ideal],
+        ):
             with pytest.raises(SystemExit):
-                main(["pd", "--input", six_var_file, *flag])
+                main(argv)
 
     @pytest.mark.parametrize(
         "complex_json",

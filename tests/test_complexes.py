@@ -285,10 +285,6 @@ class TestCanonicalForm:
         with pytest.raises(ValueError):
             cx("abc", [("a", "b"), ("a", "b", "c")])
 
-    def test_canonical_facets_sorted(self):
-        D = cx("abc", [("b", "c"), ("a", "b")])
-        assert D.canonical_facets() == (("a", "b"), ("b", "c"))
-
 
 class TestJson:
     def test_round_trip_preserves_facet_order(self):

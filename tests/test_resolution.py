@@ -200,7 +200,7 @@ class TestBuildTree:
         assert [str(m) for m in T.labels] == ["x1"]
 
     def test_enumerate_all_star_trees(self):
-        trees = build_tree(dual_facets(star_ideal()), joint_choice="enumerate-all")
+        trees = list(enumerate_trees(dual_facets(star_ideal())))
         assert len(trees) == 16
         edge_sets = {
             frozenset(tuple(sorted(f)) for f in t.complex.facets) for t in trees
@@ -307,6 +307,14 @@ class TestSerialization:
         payload = free_complex_to_json(taylor(parse_ideal("x1*x2\n")))
         payload["ranks"] = [1, 2]
         with pytest.raises(ValueError):
+            free_complex_from_json(payload)
+
+    def test_duplicate_entry_rejected(self):
+        # A second copy of one d_2 entry: the dense frame would keep only
+        # one of the two, so it must not get past construction.
+        payload = free_complex_to_json(taylor(parse_ideal("vars x1 x2\nx1\nx2\n")))
+        payload["differentials"][1].append(dict(payload["differentials"][1][0]))
+        with pytest.raises(ValueError, match="two entries"):
             free_complex_from_json(payload)
 
     def test_labeled_complex_round_trip(self):
