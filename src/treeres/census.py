@@ -18,6 +18,7 @@ from typing import Iterator
 from .complexes import (
     SimplicialComplex,
     _DisjointSets,
+    _subcollections_have_leaves,
     f_vector,
     is_connected,
     is_full_simplex,
@@ -35,7 +36,7 @@ from .duality import (
     sr_ideal,
 )
 from .homology import BETTI_GUARD, betti, reduced_homology_dims
-from .monomial import VariableSet, lcm
+from .monomial import VariableSet, lcm, lcm_closure
 from .resolution import (
     _divisor_induced_connected,
     build_tree,
@@ -131,13 +132,6 @@ def _acyclic(n_vertices: int, edges) -> bool:
     return all(sets.union(a, b) for a, b in edges)
 
 
-def _pairwise_connected(tree_lc) -> bool:
-    """Divisor-induced connectivity checked only at pairwise lcms."""
-    return _divisor_induced_connected(
-        tree_lc, (lcm(a, b) for a, b in itertools.combinations(tree_lc.labels, 2))
-    )
-
-
 def _degree_filtration_is_spanning(tree_lc) -> bool:
     """Every label-degree slice of the tree spans the same-degree slice of
     the complete generator graph (equal component partitions)."""
@@ -199,6 +193,10 @@ def check_complex(payload) -> ComplexReport:
         )
     rep.quasi_forest = exhaustive
     rep.simplicial_forest = is_simplicial_forest(D)
+    if D.dim <= 1 and rep.simplicial_forest != _subcollections_have_leaves(
+        D._facet_masks
+    ):
+        rep.violations.append("graph acyclicity disagrees with the subcollection sweep")
     if rep.simplicial_forest and not rep.quasi_forest:
         rep.violations.append("simplicial forest without a leaf order")
 
@@ -312,8 +310,8 @@ def _check_built_trees(D, I, first, table, rep: ComplexReport) -> None:
             rep.violations.append("built tree does not support a resolution")
         if not is_minimal_support(T):
             rep.violations.append("built tree fails the subface-label criterion")
-        if _pairwise_connected(T) and not sup:
-            rep.violations.append("pairwise lcm connectivity did not imply full support")
+        if sup != _divisor_induced_connected(T, lcm_closure(T.labels)):
+            rep.violations.append("tree-path support disagrees with the lcm-lattice sweep")
         if not _degree_filtration_is_spanning(T):
             rep.violations.append("degree filtration is not a spanning forest chain")
         fr = frame(F)

@@ -272,9 +272,12 @@ def _all_leaf_orders(masks: Sequence[int]) -> Iterator[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 
 def faces(D: SimplicialComplex) -> frozenset[frozenset[str]]:
-    """All nonempty faces; desk scale only."""
-    if D.n > SUBSET_GUARD:
-        raise ValueError(f"face enumeration guard exceeded (n={D.n})")
+    """All nonempty faces; refuses past 2^SUBSET_GUARD facet subsets in total."""
+    count, limit = sum(1 << len(f) for f in D.facets), 1 << SUBSET_GUARD
+    if count > limit:
+        raise ValueError(
+            f"face enumeration guard exceeded ({count} facet subsets, limit {limit})"
+        )
     out: set[frozenset[str]] = set()
     for f in D.facets:
         fl = sorted(f)
@@ -414,12 +417,28 @@ def is_quasi_forest_by_induced(D: SimplicialComplex) -> bool:
 
 
 def is_simplicial_forest(D: SimplicialComplex) -> bool:
-    """Every nonempty subcollection has a leaf; brute force over 2^q."""
-    if D.q > SUBSET_GUARD:
-        raise ValueError(f"subcollection guard exceeded (q={D.q})")
-    masks = D._facet_masks
-    for sel in range(1, 1 << D.q):
-        sub = [masks[i] for i in range(D.q) if sel >> i & 1]
+    """Every nonempty subcollection has a leaf.
+
+    On a graph (dim <= 1) this is acyclicity.  A vertex facet is always a
+    leaf, and an edge is a leaf of a subcollection iff one of its endpoints
+    has degree 1 there, so a leafless subcollection is a set of edges with
+    every degree >= 2: a graph has one iff it has a cycle.  Higher
+    dimensions sweep all 2^q subcollections.
+    """
+    if D.dim <= 1:
+        sets = _DisjointSets(D.n)
+        index = D.vertices.index
+        return all(sets.union(*map(index, f)) for f in D.facets if len(f) == 2)
+    return _subcollections_have_leaves(D._facet_masks)
+
+
+def _subcollections_have_leaves(masks: Sequence[int]) -> bool:
+    """Every nonempty subcollection of the facet masks has a leaf; brute force over 2^q."""
+    q = len(masks)
+    if q > SUBSET_GUARD:
+        raise ValueError(f"subcollection guard exceeded (q={q})")
+    for sel in range(1, 1 << q):
+        sub = [masks[i] for i in range(q) if sel >> i & 1]
         if not _has_leaf(sub):
             return False
     return True

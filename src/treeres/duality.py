@@ -132,7 +132,8 @@ def dual_facets(I: MonomialIdeal) -> SimplicialComplex:
     names = I.vars.names
     facets = []
     for g in I.generators:
-        comp = frozenset(n for n in names if n not in g.support())
+        support = g.support()
+        comp = frozenset(n for n in names if n not in support)
         if not comp:
             raise ValueError(f"generator {g} uses every variable")
         facets.append(comp)

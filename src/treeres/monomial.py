@@ -104,6 +104,10 @@ class Monomial:
         return all(e == 0 for e in self.exponents)
 
     def is_squarefree(self) -> bool:
+        return self._squarefree
+
+    @cached_property
+    def _squarefree(self) -> bool:
         return all(e <= 1 for e in self.exponents)
 
     @cached_property
@@ -137,7 +141,7 @@ def _check_same_vars(a: Monomial, b: Monomial) -> None:
 def divides(a: Monomial, b: Monomial) -> bool:
     """True iff every exponent of ``a`` is <= the matching exponent of ``b``."""
     _check_same_vars(a, b)
-    if a.is_squarefree() and b.is_squarefree():
+    if a._squarefree and b._squarefree:
         return a.support_mask & ~b.support_mask == 0
     return all(x <= y for x, y in zip(a.exponents, b.exponents))
 
@@ -269,12 +273,17 @@ def minimalize(gens: Sequence[Monomial]) -> MonomialIdeal:
     return MonomialIdeal(vars, tuple(keep))
 
 
+POLARIZE_GUARD = 10_000  # polarize refuses past this sum of maximal exponents
+
+
 def polarize(I: MonomialIdeal) -> tuple[MonomialIdeal, dict[str, tuple[str, int]]]:
     """Standard polarization: x^a becomes the product of the first a copies.
 
     Variables with maximum exponent <= 1 keep their names, so a squarefree
     ideal comes back unchanged with the identity map.  Returns the new
-    ideal and a map new-name -> (old-name, copy index).
+    ideal and a map new-name -> (old-name, copy index).  Otherwise the new
+    ring has about sum_i max_exp_i variables, and polarize refuses when
+    that sum passes POLARIZE_GUARD.
     """
     max_exp = [0] * I.vars.n
     for g in I.generators:
@@ -282,6 +291,11 @@ def polarize(I: MonomialIdeal) -> tuple[MonomialIdeal, dict[str, tuple[str, int]
             max_exp[i] = max(max_exp[i], e)
     if all(e <= 1 for e in max_exp):
         return I, {name: (name, 1) for name in I.vars.names}
+    if sum(max_exp) > POLARIZE_GUARD:
+        raise ValueError(
+            f"polarize guard exceeded (sum of maximal exponents {sum(max_exp)}, "
+            f"limit {POLARIZE_GUARD})"
+        )
 
     new_names: list[str] = []
     copies: list[list[int]] = []  # per old index, positions of its copies

@@ -10,6 +10,7 @@ and column permutation and a global sign per column.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -196,11 +197,57 @@ def supports_resolution(L: LabeledComplex) -> bool:
 
     Requires the underlying complex to be a simplicial forest; checks that
     for every lattice element the subcomplex induced on vertices whose
-    labels divide it is connected (empty or one vertex counts).
+    labels divide it is connected (empty or one vertex counts).  A graph
+    forest is checked pair by pair along its paths; higher dimensions
+    sweep the lattice.
     """
     if not is_simplicial_forest(L.complex):
         raise ValueError("not a simplicial forest")
+    if L.complex.dim <= 1:
+        return _paths_under_pair_lcms(L)
     return _divisor_induced_connected(L, lcm_closure(L.labels))
+
+
+def _paths_under_pair_lcms(L: LabeledComplex) -> bool:
+    """On a graph forest: every two vertices of the complex are joined by a
+    path whose labels all divide the lcm of the two end labels.
+
+    This is the lattice criterion pair by pair (Bayer-Peeva-Sturmfels):
+    lcm(l_a, l_b) is a lattice element, a connected induced subforest
+    holding a and b holds their path, and every lattice element divisible
+    by l_a and l_b is divisible by their lcm.  One search per source
+    carries the lcm of the interior labels: O(q^2) lcm and divides calls.
+    """
+    D = L.complex
+    index = D.vertices.index
+    adjacent: dict[int, list[int]] = {
+        i: [] for i in sorted(map(index, D.used_vertices))
+    }
+    for f in D.facets:
+        if len(f) == 2:
+            a, b = map(index, f)
+            adjacent[a].append(b)
+            adjacent[b].append(a)
+    # Squarefree labels are compared as support masks: lcm is bitwise or.
+    if all(m.is_squarefree() for m in L.labels):
+        labels = [m.support_mask for m in L.labels]
+        join, below, bottom = operator.or_, lambda a, b: a & ~b == 0, 0
+    else:
+        labels = L.labels
+        join, below, bottom = lcm, divides, Monomial.one(L.label_vars)
+    for source in adjacent:
+        reached = 1
+        stack = [(v, source, bottom) for v in adjacent[source]]
+        while stack:
+            v, parent, interior = stack.pop()
+            reached += 1
+            if not below(interior, join(labels[source], labels[v])):
+                return False
+            inner = join(interior, labels[v])
+            stack.extend((w, v, inner) for w in adjacent[v] if w != parent)
+        if reached < len(adjacent):
+            return False
+    return True
 
 
 def _divisor_induced_connected(

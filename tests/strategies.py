@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
+
 import hypothesis.strategies as st
 
 from treeres.complexes import SimplicialComplex
 from treeres.monomial import Monomial, VariableSet, minimalize
+from treeres.resolution import LabeledComplex
 
 XYZ = VariableSet(("x", "y", "z"))
 
@@ -72,3 +75,45 @@ def complexes(draw, max_vertices: int = 5, max_facets: int = 4, ambient: bool = 
         for m in facet_masks
     )
     return SimplicialComplex(vars, facets)
+
+
+def _graph_complex(draw, n: int, edges) -> SimplicialComplex:
+    """Edges plus a random share of the untouched vertices as vertex facets;
+    the rest stay in the universe but in no facet."""
+    touched = {v for e in edges for v in e}
+    points = [v for v in range(n) if v not in touched and draw(st.booleans())]
+    if not edges and not points:
+        points = [0]
+    names = tuple(f"v{i + 1}" for i in range(n))
+    facets = [frozenset(names[v] for v in e) for e in edges]
+    facets += [frozenset({names[v]}) for v in points]
+    return SimplicialComplex(VariableSet(names), tuple(draw(st.permutations(facets))))
+
+
+@st.composite
+def graphs(draw, max_vertices: int = 8, max_edges: int = 9) -> SimplicialComplex:
+    """Random graph complex, cycles allowed."""
+    n = draw(st.integers(2, max_vertices))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=max_edges))
+    return _graph_complex(draw, n, edges)
+
+
+@st.composite
+def labeled_forests(draw, vars: VariableSet = XYZ, max_vertices: int = 7) -> LabeledComplex:
+    """Random graph forest labeled by monomials, squarefree or not, 1 included."""
+    n = draw(st.integers(1, max_vertices))
+    perm = draw(st.permutations(range(n)))
+    edges = []
+    for v in range(1, n):
+        parent = draw(st.integers(-1, v - 1))  # -1: v starts a new tree
+        if parent >= 0:
+            edges.append((perm[parent], perm[v]))
+    labels = draw(
+        st.lists(
+            st.one_of(monomials(vars, max_exp=1), monomials(vars, max_exp=2)),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    return LabeledComplex(_graph_complex(draw, n, edges), tuple(labels))

@@ -159,3 +159,21 @@ def test_recorded_violation_does_not_crash(monkeypatch, name, replacement, masks
     monkeypatch.setattr(f"treeres.census.{name}", replacement)
     rep = check_complex((3, masks))
     assert violation in rep.violations
+
+
+@pytest.mark.parametrize(
+    "name, replacement, violation",
+    [
+        ("_subcollections_have_leaves", lambda masks: False,
+         "graph acyclicity disagrees with the subcollection sweep"),
+        ("_divisor_induced_connected", lambda L, multidegrees: False,
+         "tree-path support disagrees with the lcm-lattice sweep"),
+    ],
+    ids=["forest-oracle", "support-oracle"],
+)
+def test_oracle_disagreement_is_recorded(monkeypatch, name, replacement, violation):
+    # A three-vertex path: a graph forest whose built tree supports a
+    # resolution, so a lying oracle is the only source of disagreement.
+    assert check_complex((3, (0b011, 0b110))).violations == []
+    monkeypatch.setattr(f"treeres.census.{name}", replacement)
+    assert violation in check_complex((3, (0b011, 0b110))).violations

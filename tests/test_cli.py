@@ -10,6 +10,7 @@ import treeres
 from treeres.cli import main
 from treeres.complexes import complex_from_json
 from treeres.homology import betti_from_json
+from treeres.monomial import POLARIZE_GUARD
 from treeres.resolution import free_complex_from_json, labeled_complex_from_json
 
 from helpers import SIX_VAR_IDEAL_TEXT, STAR_IDEAL_TEXT
@@ -17,6 +18,15 @@ from helpers import SIX_VAR_IDEAL_TEXT, STAR_IDEAL_TEXT
 HOLLOW_JSON = json.dumps(
     {"vertices": ["a", "b", "c"], "facets": [["a", "b"], ["b", "c"], ["c", "a"]]}
 )
+
+
+def _run_cli(argv, stdin=None):
+    """The ``treeres`` command from this source tree, in a subprocess."""
+    src = str(Path(treeres.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "treeres", *argv], input=stdin,
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+    )
 
 
 @pytest.fixture
@@ -162,6 +172,20 @@ class TestResolve:
         assert "ranks: 1 4 3" in out
         assert "supports resolution: yes" in out
 
+    def test_forty_edge_path_dual(self, tmp_path):
+        # The ideal whose dual complex is the path y1 - y2 - ... - y41:
+        # generator i is the product of every y_j but y_i and y_{i+1}.
+        names = [f"y{j}" for j in range(1, 42)]
+        gens = [
+            "*".join(v for j, v in enumerate(names, 1) if j not in (i, i + 1))
+            for i in range(1, 41)
+        ]
+        path = tmp_path / "path.txt"
+        path.write_text("vars " + " ".join(names) + "\n" + "\n".join(gens) + "\n")
+        proc = _run_cli(["resolve", "--input", str(path)])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("ranks: 1 40 39\n")
+
     def test_rejects_high_pd(self, tmp_path, capsys):
         path = tmp_path / "cycle.txt"
         path.write_text("vars x1 x2 x3 x4\nx1*x2, x2*x3, x3*x4, x4*x1\n")
@@ -200,6 +224,12 @@ class TestPolarize:
         assert main(["polarize", "--input", str(path), "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["map"]["x_1"] == ["x", 1]
+
+    def test_exponent_guard(self, tmp_path, capsys):
+        path = tmp_path / "i.txt"
+        path.write_text(f"x^{POLARIZE_GUARD + 1}\n")
+        assert main(["polarize", "--input", str(path)]) == 2
+        assert f"limit {POLARIZE_GUARD}" in capsys.readouterr().err
 
 
 class TestCensusCommand:
@@ -241,12 +271,7 @@ class TestErrors:
         ids=["integer-vertices", "string-facets"],
     )
     def test_malformed_complex_is_an_error(self, complex_json):
-        src = str(Path(treeres.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run(
-            [sys.executable, "-m", "treeres", "quasiforest"],
-            input=json.dumps(complex_json), capture_output=True, text=True, env=env,
-        )
+        proc = _run_cli(["quasiforest"], json.dumps(complex_json))
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr

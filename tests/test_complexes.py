@@ -5,6 +5,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from treeres.complexes import (
+    SUBSET_GUARD,
     EmptyComplex,
     SimplicialComplex,
     all_leaf_orders,
@@ -24,12 +25,13 @@ from treeres.complexes import (
     subcollection,
     complex_to_json,
     complex_from_json,
+    _subcollections_have_leaves,
 )
 from treeres.duality import dual_facets
 from treeres.monomial import VariableSet
 
 from helpers import cx, hollow_triangle, six_var_ideal, star_ideal
-from strategies import complexes
+from strategies import complexes, graphs
 
 
 def six_var_dual():
@@ -254,6 +256,41 @@ class TestSimplicialForest:
         assert not is_simplicial_forest(D)
         outer = subcollection(D, [0, 1, 2])
         assert not any(is_leaf(outer, f) for f in outer.facets)
+
+
+class TestGraphForest:
+    """Graphs are decided by acyclicity; the subcollection sweep is the oracle."""
+
+    @given(graphs())
+    def test_acyclicity_agrees_with_sweep(self, D):
+        assert is_simplicial_forest(D) == _subcollections_have_leaves(D._facet_masks)
+
+    def test_thirty_edge_path_needs_no_guard(self):
+        names = [f"v{i}" for i in range(31)]
+        assert is_simplicial_forest(cx(names, list(zip(names, names[1:]))))
+
+    def test_twenty_five_edge_cycle(self):
+        names = [f"v{i}" for i in range(25)]
+        assert not is_simplicial_forest(cx(names, list(zip(names, names[1:] + names[:1]))))
+
+    def test_dimension_two_keeps_the_subcollection_guard(self):
+        # A fan of 21 triangles around one hub vertex.
+        names = ["hub"] + [f"v{i}" for i in range(SUBSET_GUARD + 2)]
+        fan = [("hub", a, b) for a, b in zip(names[1:], names[2:])]
+        assert len(fan) == SUBSET_GUARD + 1
+        with pytest.raises(ValueError, match="subcollection guard"):
+            is_simplicial_forest(cx(names, fan))
+
+
+class TestFaceGuard:
+    def test_forty_vertex_path_has_seventy_nine_faces(self):
+        names = [f"v{i}" for i in range(40)]
+        assert len(faces(cx(names, list(zip(names, names[1:]))))) == 79
+
+    def test_counts_facet_subsets(self):
+        names = [f"v{i}" for i in range(SUBSET_GUARD + 1)]
+        with pytest.raises(ValueError, match=r"2097152 facet subsets, limit 1048576"):
+            faces(cx(names, [names]))
 
 
 class TestConnectivity:

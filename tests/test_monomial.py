@@ -5,6 +5,7 @@ import hypothesis.strategies as st
 from treeres.monomial import (
     UNIT_IDEAL,
     Monomial,
+    POLARIZE_GUARD,
     MonomialIdeal,
     ParseError,
     VariableSet,
@@ -26,6 +27,13 @@ X6 = VariableSet(tuple(f"x{i}" for i in range(1, 7)))
 
 
 class TestDivides:
+    def test_cached_squarefreeness_keeps_equality_and_hash(self):
+        a, b = mono(X6, "x1*x3"), mono(X6, "x1*x3")
+        assert divides(a, mono(X6, "x1*x3*x6"))  # caches a's squarefreeness
+        assert a == b and hash(a) == hash(b)
+        assert divides(mono(X6, "x1"), mono(X6, "x1^2"))
+        assert not divides(mono(X6, "x1^2"), mono(X6, "x1*x2"))
+
     def test_componentwise(self):
         a, b = mono(X6, "x1*x3*x6"), mono(X6, "x1*x3*x4*x6")
         assert divides(a, b)
@@ -169,6 +177,12 @@ class TestPolarize:
         V = VariableSet(("x",))
         P, _ = polarize(MonomialIdeal(V, (Monomial(V, (3,)),)))
         assert [str(g) for g in P.generators] == ["x_1*x_2*x_3"]
+
+    def test_exponent_guard(self):
+        V = VariableSet(("x",))
+        I = MonomialIdeal(V, (Monomial(V, (POLARIZE_GUARD + 1,)),))
+        with pytest.raises(ValueError, match=f"limit {POLARIZE_GUARD}"):
+            polarize(I)
 
     @given(st.lists(nonunit_monomials(max_exp=3), min_size=1, max_size=4))
     def test_output_squarefree(self, gens):

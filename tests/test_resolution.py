@@ -6,10 +6,11 @@ import hypothesis.strategies as st
 
 from treeres.complexes import SimplicialComplex, full_simplex
 from treeres.duality import dual_facets
-from treeres.monomial import VariableSet, parse_ideal
+from treeres.monomial import Monomial, VariableSet, lcm_closure, parse_ideal
 from treeres.resolution import (
     Frame,
     LabeledComplex,
+    _divisor_induced_connected,
     build_tree,
     differentials_in_maximal_ideal,
     enumerate_trees,
@@ -37,7 +38,7 @@ from helpers import (
     six_var_ideal,
     star_ideal,
 )
-from strategies import nonunit_monomials, squarefree_ideals
+from strategies import labeled_forests, nonunit_monomials, squarefree_ideals
 
 
 PRINTED_SIX_VAR_MATRIX = [
@@ -164,6 +165,30 @@ class TestSupportsResolution:
         )
         with pytest.raises(ValueError, match="simplicial forest"):
             supports_resolution(L)
+
+
+class TestTreePathSupport:
+    """Graph forests are checked along paths; the lattice sweep is the oracle."""
+
+    @given(labeled_forests())
+    def test_agrees_with_lattice_sweep(self, L):
+        assert supports_resolution(L) == _divisor_induced_connected(
+            L, lcm_closure(L.labels)
+        )
+
+    def test_twenty_five_vertex_path_builds_no_lattice(self, monkeypatch):
+        def no_lattice(monomials):
+            raise AssertionError("lcm lattice built on a graph")
+
+        monkeypatch.setattr("treeres.resolution.lcm_closure", no_lattice)
+        V = VariableSet(tuple(f"x{i + 1}" for i in range(25)))
+        names = [f"v{i + 1}" for i in range(25)]
+        path = cx(names, list(zip(names, names[1:])))
+        labels = tuple(
+            Monomial(V, tuple(int(j == i) for j in range(25))) for i in range(25)
+        )
+        # x2 lies on the path from v1 to v3 but does not divide x1*x3.
+        assert not supports_resolution(LabeledComplex(path, labels))
 
 
 class TestMinimalSupport:
