@@ -18,6 +18,7 @@ from typing import Iterator
 from .complexes import (
     SimplicialComplex,
     _DisjointSets,
+    _acyclic,
     _subcollections_have_leaves,
     f_vector,
     is_connected,
@@ -125,11 +126,6 @@ class ComplexReport:
 
     def facets_json(self):
         return complex_to_json(complex_from_masks(self.n, self.masks))
-
-
-def _acyclic(n_vertices: int, edges) -> bool:
-    sets = _DisjointSets(n_vertices)
-    return all(sets.union(a, b) for a, b in edges)
 
 
 def _degree_filtration_is_spanning(tree_lc) -> bool:

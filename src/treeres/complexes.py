@@ -155,6 +155,12 @@ class _DisjointSets:
         return list(out.values())
 
 
+def _acyclic(n_vertices: int, edges: Iterable[tuple[int, int]]) -> bool:
+    """The graph on range(n_vertices) with these edges has no cycle."""
+    sets = _DisjointSets(n_vertices)
+    return all(sets.union(a, b) for a, b in edges)
+
+
 def _faces_by_dim(face_sets: Iterable[Iterable[int]]) -> list[list[tuple[int, ...]]]:
     """Nonempty faces as sorted index tuples, one sorted bucket per dimension."""
     keys = [tuple(sorted(f)) for f in face_sets]
@@ -426,9 +432,9 @@ def is_simplicial_forest(D: SimplicialComplex) -> bool:
     dimensions sweep all 2^q subcollections.
     """
     if D.dim <= 1:
-        sets = _DisjointSets(D.n)
         index = D.vertices.index
-        return all(sets.union(*map(index, f)) for f in D.facets if len(f) == 2)
+        edges = (tuple(map(index, f)) for f in D.facets if len(f) == 2)
+        return _acyclic(D.n, edges)
     return _subcollections_have_leaves(D._facet_masks)
 
 
