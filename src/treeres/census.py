@@ -19,6 +19,7 @@ from .complexes import (
     SimplicialComplex,
     _DisjointSets,
     _acyclic,
+    _masks_by_size,
     _subcollections_have_leaves,
     f_vector,
     is_connected,
@@ -60,7 +61,7 @@ def antichain_covers(n: int) -> Iterator[tuple[int, ...]]:
     Facet masks come back sorted by (size, value).  Classic next-element
     enumeration: each antichain is visited exactly once.
     """
-    subsets = sorted(range(1, 1 << n), key=lambda m: (bin(m).count("1"), m))
+    subsets = _masks_by_size(n)
     full = (1 << n) - 1
 
     def compatible(m: int, chosen: list[int]) -> bool:

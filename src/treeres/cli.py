@@ -306,7 +306,6 @@ def cmd_verify(args) -> int:
     if I.q == 1:
         # Principal: the dual may degenerate, but the single-vertex tree
         # always supports the minimal resolution.
-        tree = floystad_tree(I)
         line = (
             f"pd(I)={pd_i}; principal ideal; "
             "tree supports minimal resolution (single vertex)"

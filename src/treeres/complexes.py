@@ -123,7 +123,8 @@ def is_full_simplex(D: SimplicialComplex) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Shared primitives: union-find and faces bucketed for boundary matrices.
+# Shared primitives: union-find, masks by size, and faces bucketed for
+# boundary matrices.
 # ---------------------------------------------------------------------------
 
 class _DisjointSets:
@@ -159,6 +160,11 @@ def _acyclic(n_vertices: int, edges: Iterable[tuple[int, int]]) -> bool:
     """The graph on range(n_vertices) with these edges has no cycle."""
     sets = _DisjointSets(n_vertices)
     return all(sets.union(a, b) for a, b in edges)
+
+
+def _masks_by_size(n: int) -> list[int]:
+    """The nonempty masks over n bits, sorted by (popcount, value)."""
+    return sorted(range(1, 1 << n), key=lambda m: (m.bit_count(), m))
 
 
 def _faces_by_dim(face_sets: Iterable[Iterable[int]]) -> list[list[tuple[int, ...]]]:

@@ -16,6 +16,7 @@ from .complexes import (
     SimplicialComplex,
     SUBSET_GUARD,
     VoidComplex,
+    _masks_by_size,
     full_simplex,
     is_full_simplex,
 )
@@ -48,7 +49,7 @@ def _maximal_faces(vars: VariableSet, is_face):
     _guard(vars.n)
     n = vars.n
     facets: list[int] = []
-    for mask in sorted(range(1, 1 << n), key=lambda m: -bin(m).count("1")):
+    for mask in reversed(_masks_by_size(n)):
         if is_face(mask) and not any(mask & ~f == 0 for f in facets):
             facets.append(mask)
     if not facets:
@@ -69,20 +70,15 @@ def sr_ideal(D):
     if is_full_simplex(D):
         return ZeroIdeal(D.vertices)
     _guard(D.n)
-    n = D.n
     fmasks = D._facet_masks
     minimal: list[int] = []
     # Size-ascending sweep; supersets of a recorded non-face are skipped.
-    by_size: dict[int, list[int]] = {}
-    for mask in range(1, 1 << n):
-        by_size.setdefault(bin(mask).count("1"), []).append(mask)
-    for size in range(1, n + 1):
-        for mask in by_size.get(size, ()):
-            if any(mask & ~f == 0 for f in fmasks):
-                continue  # a face
-            if any(mask & mnf == mnf for mnf in minimal):
-                continue  # contains a smaller non-face
-            minimal.append(mask)
+    for mask in _masks_by_size(D.n):
+        if any(mask & ~f == 0 for f in fmasks):
+            continue  # a face
+        if any(mask & mnf == mnf for mnf in minimal):
+            continue  # contains a smaller non-face
+        minimal.append(mask)
     gens = tuple(_mask_monomial(D.vertices, m) for m in minimal)
     return MonomialIdeal(D.vertices, gens)
 

@@ -10,7 +10,6 @@ and column permutation and a global sign per column.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -77,7 +76,6 @@ class Entry(NamedTuple):
     row: int
     col: int
     sign: int
-    monomial: Monomial
 
 
 @dataclass(frozen=True)
@@ -86,7 +84,7 @@ class FreeComplex:
 
     ``modules[i]`` lists the multidegrees of the degree-i module
     (degree 0 is the single multidegree 1); ``differentials[i-1]`` is the
-    sparse matrix of d_i with entries (row, col, sign, monomial).
+    sparse matrix of d_i with entries (row, col, sign).
     """
 
     vars: VariableSet
@@ -107,10 +105,9 @@ class FreeComplex:
                     raise ValueError(f"entry out of shape in d_{i}")
                 if e.sign not in (1, -1):
                     raise ValueError("entry signs must be +1 or -1")
-                row_m, col_m = self.modules[i - 1][e.row], self.modules[i][e.col]
-                if not divides(row_m, col_m) or quotient(col_m, row_m) != e.monomial:
+                if not divides(self.modules[i - 1][e.row], self.modules[i][e.col]):
                     raise ValueError(
-                        f"entry monomial in d_{i} is not column/row multidegree"
+                        f"row multidegree does not divide column multidegree in d_{i}"
                     )
 
     @property
@@ -121,24 +118,28 @@ class FreeComplex:
     def ranks(self) -> tuple[int, ...]:
         return tuple(len(m) for m in self.modules)
 
+    def entry_monomial(self, i: int, e: Entry) -> Monomial:
+        """The monomial of entry e of d_i: its column over its row multidegree."""
+        return quotient(self.modules[i][e.col], self.modules[i - 1][e.row])
+
     def boundary_squares_to_zero(self) -> bool:
         """Symbolic check that consecutive differentials compose to zero.
 
-        Every entry is the column/row multidegree quotient (checked on
-        construction), so all products landing on one (row, col) share a
-        monomial and the signs alone decide.
+        Every entry monomial is the column/row multidegree quotient, so all
+        products landing on one (row, col) share a monomial and the signs
+        alone decide.
         """
         return _squares_to_zero(self.differentials)
 
 
 def _squares_to_zero(differentials: Sequence[Sequence[tuple]]) -> bool:
-    """Consecutive sparse matrices of (row, col, value, ...) entries compose to zero."""
+    """Consecutive sparse matrices of (row, col, value) entries compose to zero."""
     for first, second in zip(differentials, differentials[1:]):
         by_col: dict[int, list[tuple[int, int]]] = {}
-        for row, col, value, *_ in first:
+        for row, col, value in first:
             by_col.setdefault(col, []).append((row, value))
         acc: dict[tuple[int, int], int] = {}
-        for mid, col, value, *_ in second:
+        for mid, col, value in second:
             for row, v in by_col.get(mid, ()):
                 acc[row, col] = acc.get((row, col), 0) + v * value
         if any(acc.values()):
@@ -150,8 +151,8 @@ def homogenize(L: LabeledComplex) -> FreeComplex:
     """Free complex of the labeled complex.
 
     Degree i has one summand per (i-1)-face, of multidegree the face
-    label; d_i carries simplicial boundary signs and quotient monomials,
-    with d_1 the row of vertex labels.
+    label; d_i carries the simplicial boundary signs, with d_1 the row of
+    vertex labels.
     """
     D = L.complex
     index = D.vertices.index
@@ -163,10 +164,7 @@ def homogenize(L: LabeledComplex) -> FreeComplex:
         for bucket in by_dim
     )
     diffs = tuple(
-        tuple(
-            Entry(row, col, sign, quotient(modules[d][col], modules[d - 1][row]))
-            for row, col, sign in _signed_boundary(by_dim, d)
-        )
+        tuple(map(Entry._make, _signed_boundary(by_dim, d)))
         for d in range(1, len(by_dim))
     )
     return FreeComplex(L.label_vars, modules, diffs)
@@ -216,7 +214,9 @@ def _paths_under_pair_lcms(L: LabeledComplex) -> bool:
     lcm(l_a, l_b) is a lattice element, a connected induced subforest
     holding a and b holds their path, and every lattice element divisible
     by l_a and l_b is divisible by their lcm.  One search per source
-    carries the lcm of the interior labels: O(q^2) lcm and divides calls.
+    carries the lcm of the interior labels as a polarized mask (x_i^e sets
+    the first e bits of a block as wide as x_i's largest exponent), on
+    which lcm is bitwise or and divisibility is inclusion: O(q^2) steps.
     """
     D = L.complex
     index = D.vertices.index
@@ -228,24 +228,21 @@ def _paths_under_pair_lcms(L: LabeledComplex) -> bool:
             a, b = map(index, f)
             adjacent[a].append(b)
             adjacent[b].append(a)
-    # Squarefree labels are compared as support masks: lcm is bitwise or.
-    # Every lcm would otherwise build a Monomial; the masks nearly double
-    # large_q throughput (58 -> 104 ops/s, 2-core, CPython 3.11).
-    if all(m.is_squarefree() for m in L.labels):
-        labels = [m.support_mask for m in L.labels]
-        join, below, bottom = operator.or_, lambda a, b: a & ~b == 0, 0
-    else:
-        labels = L.labels
-        join, below, bottom = lcm, divides, Monomial.one(L.label_vars)
+    labels = [0] * len(L.labels)
+    offset = 0
+    for column in zip(*(m.exponents for m in L.labels)):
+        for k, e in enumerate(column):
+            labels[k] |= ((1 << e) - 1) << offset
+        offset += max(column)
     for source in adjacent:
         reached = 1
-        stack = [(v, source, bottom) for v in adjacent[source]]
+        stack = [(v, source, 0) for v in adjacent[source]]
         while stack:
             v, parent, interior = stack.pop()
             reached += 1
-            if not below(interior, join(labels[source], labels[v])):
+            if interior & ~(labels[source] | labels[v]):
                 return False
-            inner = join(interior, labels[v])
+            inner = interior | labels[v]
             stack.extend((w, v, inner) for w in adjacent[v] if w != parent)
         if reached < len(adjacent):
             return False
@@ -389,10 +386,10 @@ def floystad_tree(I: MonomialIdeal) -> LabeledComplex:
 
 
 def differentials_in_maximal_ideal(F: FreeComplex) -> bool:
-    """True iff every differential entry is a non-unit monomial."""
+    """True iff no entry's row multidegree equals its column multidegree."""
     return all(
-        not e.monomial.is_one()
-        for entries in F.differentials
+        F.modules[i - 1][e.row] != F.modules[i][e.col]
+        for i, entries in enumerate(F.differentials, start=1)
         for e in entries
     )
 
@@ -467,11 +464,11 @@ def free_complex_to_json(F: FreeComplex) -> dict:
                     "row": e.row,
                     "col": e.col,
                     "sign": e.sign,
-                    "monomial": list(e.monomial.exponents),
+                    "monomial": list(F.entry_monomial(i, e).exponents),
                 }
                 for e in entries
             ]
-            for entries in F.differentials
+            for i, entries in enumerate(F.differentials, start=1)
         ],
     }
 
@@ -483,15 +480,17 @@ def free_complex_from_json(obj: dict) -> FreeComplex:
         for module in obj["multidegrees"]
     )
     diffs = tuple(
-        tuple(
-            Entry(e["row"], e["col"], e["sign"], Monomial(vars, tuple(e["monomial"])))
-            for e in entries
-        )
+        tuple(Entry(e["row"], e["col"], e["sign"]) for e in entries)
         for entries in obj["differentials"]
     )
     F = FreeComplex(vars, modules, diffs)
     if list(F.ranks) != list(obj["ranks"]):
         raise ValueError("ranks disagree with module lists")
+    # Entry monomials are derived; a stored one must equal its derivation.
+    for i, entries in enumerate(obj["differentials"], start=1):
+        for e, stored in zip(F.differentials[i - 1], entries):
+            if tuple(stored["monomial"]) != F.entry_monomial(i, e).exponents:
+                raise ValueError(f"entry monomial in d_{i} is not column/row multidegree")
     return F
 
 

@@ -48,7 +48,7 @@ def column_fingerprint(F, degree: int = 2):
     per_col: dict[int, list] = {c: [] for c in range(len(cols))}
     for e in F.differentials[degree - 1]:
         per_col[e.col].append(
-            (rows[e.row].exponents, e.monomial.exponents, e.sign)
+            (rows[e.row].exponents, F.entry_monomial(degree, e).exponents, e.sign)
         )
     out = []
     for c, entries in per_col.items():

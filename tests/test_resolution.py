@@ -8,7 +8,9 @@ from treeres.complexes import SimplicialComplex, full_simplex
 from treeres.duality import dual_facets
 from treeres.monomial import Monomial, VariableSet, lcm_closure, parse_ideal
 from treeres.resolution import (
+    Entry,
     Frame,
+    FreeComplex,
     LabeledComplex,
     _divisor_induced_connected,
     build_tree,
@@ -65,7 +67,7 @@ class TestHomogenize:
         assert F.ranks == (1, 1)
         entry = F.differentials[0][0]
         assert (entry.row, entry.col, entry.sign) == (0, 0, 1)
-        assert str(entry.monomial) == "x*y"
+        assert str(F.entry_monomial(1, entry)) == "x*y"
 
     @given(st.lists(nonunit_monomials(), min_size=3, max_size=3))
     @settings(max_examples=40)
@@ -74,6 +76,16 @@ class TestHomogenize:
         F = homogenize(LabeledComplex(D, tuple(labels)))
         assert F.boundary_squares_to_zero()
 
+    def test_builds_without_forming_quotients(self, monkeypatch):
+        # Entries store signs only; no entry monomial is formed on construction.
+        def no_quotient(a, b):
+            raise AssertionError("quotient formed while building")
+
+        monkeypatch.setattr("treeres.resolution.quotient", no_quotient)
+        F = homogenize(build_tree(dual_facets(six_var_ideal())))
+        assert F.ranks == (1, 4, 3)
+        assert taylor(six_var_ideal()).ranks == (1, 4, 6, 4, 1)
+
     def test_entry_monomials_are_quotients(self):
         F = homogenize(build_tree(dual_facets(six_var_ideal())))
         for i in range(1, F.length + 1):
@@ -81,7 +93,8 @@ class TestHomogenize:
                 top = F.modules[i][e.col]
                 bottom = F.modules[i - 1][e.row]
                 assert tuple(
-                    a + b for a, b in zip(bottom.exponents, e.monomial.exponents)
+                    a + b
+                    for a, b in zip(bottom.exponents, F.entry_monomial(i, e).exponents)
                 ) == top.exponents
 
 
@@ -312,6 +325,11 @@ class TestFrames:
         long_frame = frame(taylor(parse_ideal("vars x1 x2 x3\nx1\nx2\nx3\n")))
         assert frame_to_graph(long_frame) is None
 
+    @given(labeled_forests())
+    def test_unit_entry_detection_agrees_with_minimal_support(self, L):
+        # Independent leg: a unit entry is a face with the label of a subface.
+        assert differentials_in_maximal_ideal(homogenize(L)) == is_minimal_support(L)
+
     def test_unit_entry_detection(self):
         F = homogenize(build_tree(dual_facets(six_var_ideal())))
         assert differentials_in_maximal_ideal(F)
@@ -341,6 +359,21 @@ class TestSerialization:
         payload["differentials"][1].append(dict(payload["differentials"][1][0]))
         with pytest.raises(ValueError, match="two entries"):
             free_complex_from_json(payload)
+
+    def test_tampered_entry_monomial_rejected(self):
+        payload = free_complex_to_json(taylor(parse_ideal("vars x1 x2\nx1\nx2\n")))
+        entry = payload["differentials"][1][0]
+        entry["monomial"] = [1, 1]
+        with pytest.raises(ValueError, match="entry monomial"):
+            free_complex_from_json(payload)
+
+    def test_row_not_dividing_column_rejected(self):
+        V = VariableSet(("x1", "x2"))
+        one, x1, x2 = Monomial.one(V), mono(V, "x1"), mono(V, "x2")
+        entry = Entry(0, 0, 1)
+        FreeComplex(V, ((one,), (x1,)), ((entry,),))
+        with pytest.raises(ValueError, match="does not divide"):
+            FreeComplex(V, ((one,), (x1,), (x2,)), ((entry,), (entry,)))
 
     def test_labeled_complex_round_trip(self):
         T = build_tree(dual_facets(six_var_ideal()))
