@@ -40,6 +40,7 @@ from .duality import (
 from .homology import BETTI_GUARD, betti, reduced_homology_dims
 from .monomial import VariableSet, lcm, lcm_closure
 from .resolution import (
+    FreeComplex,
     _divisor_induced_connected,
     build_tree,
     differentials_in_maximal_ideal,
@@ -94,19 +95,27 @@ def enumerate_complexes(max_vertices: int) -> Iterator[SimplicialComplex]:
             yield complex_from_masks(n, masks)
 
 
-def _remap_mask(mask: int, perm: tuple[int, ...]) -> int:
-    out = 0
-    for i, p in enumerate(perm):
-        if mask >> i & 1:
-            out |= 1 << p
-    return out
+# n -> one table per permutation of range(n): the image of every mask.
+_PERMUTED_MASKS: dict[int, list[list[int]]] = {}
+
+
+def _permuted_masks(n: int) -> list[list[int]]:
+    tables = _PERMUTED_MASKS.get(n)
+    if tables is None:
+        tables = _PERMUTED_MASKS[n] = []
+        for perm in itertools.permutations(range(n)):
+            image = [0] * (1 << n)
+            for m in range(1, 1 << n):
+                low = m & -m
+                image[m] = image[m ^ low] | 1 << perm[low.bit_length() - 1]
+            tables.append(image)
+    return tables
 
 
 def iso_key(n: int, masks: tuple[int, ...]) -> tuple[int, ...]:
     """Canonical form up to vertex relabeling: minimal facet encoding."""
     return min(
-        tuple(sorted(_remap_mask(m, perm) for m in masks))
-        for perm in itertools.permutations(range(n))
+        tuple(sorted(map(image.__getitem__, masks))) for image in _permuted_masks(n)
     )
 
 
@@ -139,10 +148,15 @@ def _degree_filtration_is_spanning(tree_lc) -> bool:
     tree_edges = [
         tuple(sorted(idx[v] for v in f)) for f in D.facets if len(f) == 2
     ]
-    degrees = sorted(
-        {m.degree() for m in labels}
-        | {lcm(labels[i], labels[j]).degree() for i in range(q) for j in range(i + 1, q)}
-    )
+    vertex_degree = [m.degree() for m in labels]
+    # A pair's lcm degree is at least both vertex degrees, so it alone
+    # decides whether the edge lies in a degree slice.
+    pair_degree = {
+        (i, j): lcm(labels[i], labels[j]).degree()
+        for i in range(q)
+        for j in range(i + 1, q)
+    }
+    degrees = sorted(set(vertex_degree) | set(pair_degree.values()))
 
     def components(edges, verts):
         sets = _DisjointSets(q)
@@ -151,20 +165,9 @@ def _degree_filtration_is_spanning(tree_lc) -> bool:
         return {frozenset(g) for g in sets.groups(verts)}
 
     for d in degrees:
-        verts = [i for i in range(q) if labels[i].degree() <= d]
-        k_edges = [
-            (i, j)
-            for i in range(q)
-            for j in range(i + 1, q)
-            if i in verts and j in verts and lcm(labels[i], labels[j]).degree() <= d
-        ]
-        t_edges = [
-            (a, b)
-            for a, b in tree_edges
-            if labels[a].degree() <= d
-            and labels[b].degree() <= d
-            and lcm(labels[a], labels[b]).degree() <= d
-        ]
+        verts = {i for i in range(q) if vertex_degree[i] <= d}
+        k_edges = [e for e, deg in pair_degree.items() if deg <= d]
+        t_edges = [e for e in tree_edges if pair_degree[e] <= d]
         if components(k_edges, verts) != components(t_edges, verts):
             return False
     return True
@@ -252,6 +255,28 @@ def _check_euler(D: SimplicialComplex, rep: ComplexReport) -> None:
         )
 
 
+# (ranks, differentials) -> (d.d = 0, frame exact); see _frame_verdict.
+_FRAME_VERDICTS: dict[tuple, tuple[bool, bool]] = {}
+
+
+def _frame_verdict(F: FreeComplex) -> tuple[bool, bool]:
+    """Whether F's differentials square to zero, and whether its frame is
+    exact (tested only once they do; False otherwise).
+
+    Both verdicts read only the ranks and the (row, col, sign) entries, so
+    they are memoized on exactly that key: every Taylor complex on q
+    generators is the augmented chain complex of the (q-1)-simplex and
+    shares one entry, while a complex with one sign changed does not.
+    """
+    key = (F.ranks, F.differentials)
+    verdict = _FRAME_VERDICTS.get(key)
+    if verdict is None:
+        squares = F.boundary_squares_to_zero()
+        verdict = (squares, squares and is_exact_frame(frame(F)))
+        _FRAME_VERDICTS[key] = verdict
+    return verdict
+
+
 def _check_threeway(D: SimplicialComplex, I, rep: ComplexReport) -> None:
     first = None
     tree_route = False
@@ -276,12 +301,13 @@ def _check_threeway(D: SimplicialComplex, I, rep: ComplexReport) -> None:
             f"quasi-forest is {rep.quasi_forest}, tree route is {tree_route}"
         )
 
-    # Taylor is always a resolution and bounds the Betti numbers.  Frame
-    # exactness is only defined once d.d = 0 holds.
+    # Taylor is always a resolution and bounds the Betti numbers.  Its
+    # frame is the (q-1)-simplex's, so its verdict is computed once per q.
     tay = taylor(I)
-    if not tay.boundary_squares_to_zero():
+    squares, exact = _frame_verdict(tay)
+    if not squares:
         rep.violations.append("taylor differential does not square to zero")
-    elif not is_exact_frame(frame(tay)):
+    elif not exact:
         rep.violations.append("taylor frame is not exact")
     totals = table.totals()
     for i, b in enumerate(totals):
@@ -297,7 +323,7 @@ def _check_built_trees(D, I, first, table, rep: ComplexReport) -> None:
     # ``first`` is the tree build_tree gave, or None when it failed.
     for T in enumerate_trees(D):
         F = homogenize(T)
-        squares = F.boundary_squares_to_zero()
+        squares, exact = _frame_verdict(F)
         if not squares:
             rep.violations.append("homogenized tree differential squares nonzero")
         if not differentials_in_maximal_ideal(F):
@@ -311,13 +337,13 @@ def _check_built_trees(D, I, first, table, rep: ComplexReport) -> None:
             rep.violations.append("tree-path support disagrees with the lcm-lattice sweep")
         if not _degree_filtration_is_spanning(T):
             rep.violations.append("degree filtration is not a spanning forest chain")
-        fr = frame(F)
-        if squares and not is_exact_frame(fr):
+        if squares and not exact:
             rep.violations.append("built tree frame is not exact")
-        if len(fr.dims) == 3:
-            edges = frame_to_graph(fr)
-            if edges is None or len(edges) != fr.dims[1] - 1 or not _acyclic(
-                fr.dims[1], edges
+        if F.length == 2:
+            edges = frame_to_graph(frame(F))
+            vertices = F.ranks[1]
+            if edges is None or len(edges) != vertices - 1 or not _acyclic(
+                vertices, edges
             ):
                 rep.violations.append("frame is not the chain complex of a tree")
         hdims = reduced_homology_dims(T.complex)

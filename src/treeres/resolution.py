@@ -154,20 +154,35 @@ def homogenize(L: LabeledComplex) -> FreeComplex:
     label; d_i carries the simplicial boundary signs, with d_1 the row of
     vertex labels.
     """
-    D = L.complex
-    index = D.vertices.index
-    names = D.vertices.names
-    # The empty face heads the list, so d_1 comes out as the row of labels.
-    by_dim = [[()]] + _faces_by_dim([index(v) for v in face] for face in faces(D))
-    modules = tuple(
-        tuple(L.face_label(names[i] for i in face) for face in bucket)
-        for bucket in by_dim
-    )
+    by_dim, label = _face_labels(L)
+    modules = tuple(tuple(label[face] for face in bucket) for bucket in by_dim)
     diffs = tuple(
         tuple(map(Entry._make, _signed_boundary(by_dim, d)))
         for d in range(1, len(by_dim))
     )
     return FreeComplex(L.label_vars, modules, diffs)
+
+
+def _face_labels(
+    L: LabeledComplex,
+) -> tuple[list[list[tuple[int, ...]]], dict[tuple[int, ...], Monomial]]:
+    """The faces of L as sorted index tuples, bucketed by size with the
+    empty face first, and the label of each.
+
+    A face's label is one lcm: its prefix face, one bucket down and
+    already labeled, with its last vertex.
+    """
+    index = L.complex.vertices.index
+    by_dim = [[()]] + _faces_by_dim(
+        [index(v) for v in face] for face in faces(L.complex)
+    )
+    label = {(): Monomial.one(L.label_vars)}
+    for face in by_dim[1]:
+        label[face] = L.labels[face[0]]
+    for bucket in by_dim[2:]:
+        for face in bucket:
+            label[face] = lcm(label[face[:-1]], L.labels[face[-1]])
+    return by_dim, label
 
 
 def _generator_vertex_names(q: int) -> VariableSet:
@@ -272,20 +287,13 @@ def is_minimal_support(L: LabeledComplex) -> bool:
     Labels grow monotonically along inclusions, so checking codimension-1
     subfaces (and vertices against the empty face's label 1) suffices.
     """
-    index = L.complex.vertices.index
-    names = L.complex.vertices.names
-    for face in faces(L.complex):
-        key = tuple(sorted(index(v) for v in face))
-        big = L.face_label(names[i] for i in key)
-        if len(key) == 1:
-            if big.is_one():
-                return False
-            continue
-        for pos in range(len(key)):
-            sub = key[:pos] + key[pos + 1:]
-            if L.face_label(names[i] for i in sub) == big:
-                return False
-    return True
+    by_dim, label = _face_labels(L)
+    return not any(
+        label[face[:pos] + face[pos + 1:]] == label[face]
+        for bucket in by_dim[1:]
+        for face in bucket
+        for pos in range(len(face))
+    )
 
 
 def _tree_complex(q: int, edges: Sequence[tuple[int, int]]) -> SimplicialComplex:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from treeres.complexes import SimplicialComplex, full_simplex
+from treeres.complexes import SimplicialComplex, faces, full_simplex
 from treeres.duality import dual_facets
 from treeres.monomial import Monomial, VariableSet, lcm_closure, parse_ideal
 from treeres.resolution import (
@@ -40,7 +40,7 @@ from helpers import (
     six_var_ideal,
     star_ideal,
 )
-from strategies import labeled_forests, nonunit_monomials, squarefree_ideals
+from strategies import ideals, labeled_forests, nonunit_monomials, squarefree_ideals
 
 
 PRINTED_SIX_VAR_MATRIX = [
@@ -220,6 +220,55 @@ class TestMinimalSupport:
         assert all(
             is_minimal_support(t) for t in enumerate_trees(dual_facets(star_ideal()))
         )
+
+
+def _labeled_simplex(I):
+    """The generators of I on the full simplex: the complex taylor homogenizes."""
+    verts = VariableSet(tuple(f"v{i + 1}" for i in range(I.q)))
+    return LabeledComplex(full_simplex(verts), I.generators)
+
+
+def _minimal_support_by_face_labels(L):
+    """Direct definition: no face label equals that of a codimension-1
+    subface, and no vertex is labeled 1."""
+    index = L.complex.vertices.index
+    names = L.complex.vertices.names
+    for face in faces(L.complex):
+        key = tuple(sorted(index(v) for v in face))
+        big = L.face_label(names[i] for i in key)
+        if len(key) == 1:
+            if big.is_one():
+                return False
+            continue
+        for pos in range(len(key)):
+            sub = key[:pos] + key[pos + 1:]
+            if L.face_label(names[i] for i in sub) == big:
+                return False
+    return True
+
+
+class TestFaceLabels:
+    """homogenize and is_minimal_support label each face by one lcm of a
+    smaller face's label; face_label is the lcm over all its vertices."""
+
+    @given(labeled_forests() | ideals().map(_labeled_simplex))
+    def test_module_multidegrees_are_face_labels(self, L):
+        names = L.complex.vertices.names
+        index = L.complex.vertices.index
+        # The empty face labels the degree-0 module with 1.
+        keys = [()] + sorted(tuple(sorted(map(index, f))) for f in faces(L.complex))
+        assert homogenize(L).modules == tuple(
+            tuple(L.face_label(names[i] for i in key) for key in keys if len(key) == size)
+            for size in range(max(map(len, keys)) + 1)
+        )
+
+    @given(ideals())
+    def test_taylor_modules_are_face_labels(self, I):
+        assert taylor(I) == homogenize(_labeled_simplex(I))
+
+    @given(labeled_forests() | ideals().map(_labeled_simplex))
+    def test_minimal_support_agrees_with_direct_definition(self, L):
+        assert is_minimal_support(L) == _minimal_support_by_face_labels(L)
 
 
 class TestBuildTree:
