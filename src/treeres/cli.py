@@ -187,6 +187,8 @@ def cmd_tree(args) -> int:
         raise ValueError("cannot build a tree from an empty complex")
     if args.joint == "all":
         trees = list(enumerate_trees(D))
+        if not trees:
+            raise ValueError("not a quasi-forest: no leaf order exists")
         _emit_trees(args, trees)
         return 0
     _emit_tree(args, build_tree(D))

@@ -168,20 +168,23 @@ def _masks_by_size(n: int) -> list[int]:
 
 
 def _faces_by_dim(face_sets: Iterable[Iterable[int]]) -> list[list[tuple[int, ...]]]:
-    """Nonempty faces as sorted index tuples, one sorted bucket per dimension."""
-    keys = [tuple(sorted(f)) for f in face_sets]
-    by_dim: list[list[tuple[int, ...]]] = [[] for _ in range(max(map(len, keys)))]
-    for key in keys:
-        by_dim[len(key) - 1].append(key)
-    for bucket in by_dim:
-        bucket.sort()
+    """Faces as sorted index tuples, one sorted bucket per size.
+
+    Bucket k holds the faces of size k, so the empty face () comes first
+    and the buckets index the augmented complex.
+    """
+    by_dim: list[list[tuple[int, ...]]] = [[()]]
+    for key in sorted(tuple(sorted(f)) for f in face_sets):
+        while len(by_dim) <= len(key):
+            by_dim.append([])
+        by_dim[len(key)].append(key)
     return by_dim
 
 
 def _signed_boundary(
     by_dim: Sequence[Sequence[tuple[int, ...]]], d: int
 ) -> Iterator[tuple[int, int, int]]:
-    """(row, col, sign) entries of the simplicial boundary from dimension d to d-1.
+    """(row, col, sign) entries of the simplicial boundary from bucket d to d-1.
 
     Signs alternate along the sorted vertex order of each face.
     """
@@ -235,46 +238,35 @@ def _greedy_removal(masks: Sequence[int]):
     return removal
 
 
-def _backtracking_order(masks: Sequence[int]):
-    """Some leaf order found by exploring all removal orders; None if none.
+def _all_leaf_orders(masks: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Every leaf order, found by peeling leaves in every removal order.
 
-    The recursion peels a leaf of the active subcollection and appends it
-    after the order of the remainder, so the returned list is already a
-    leaf order (peeled-first comes last).
+    The recursion peels a leaf of the active subcollection; a full removal
+    list reversed is a leaf order (peeled-first comes last).  A
+    subcollection whose removals yielded no order is recorded and never
+    explored again, so a complex without a leaf order is rejected without
+    trying every removal order.
     """
     dead: set[frozenset[int]] = set()
 
-    def go(active: frozenset[int]) -> list[int] | None:
-        if not active:
-            return []
-        if active in dead:
-            return None
-        order = sorted(active)
-        sub = [masks[i] for i in order]
-        for p, idx in enumerate(order):
-            if _is_leaf(sub, p):
-                rest = go(active - {idx})
-                if rest is not None:
-                    return rest + [idx]
-        dead.add(active)
-        return None
-
-    found = go(frozenset(range(len(masks))))
-    return None if found is None else tuple(found)
-
-
-def _all_leaf_orders(masks: Sequence[int]) -> Iterator[tuple[int, ...]]:
     def go(active: frozenset[int], acc: list[int]) -> Iterator[tuple[int, ...]]:
         if not active:
             yield tuple(reversed(acc))
             return
+        if active in dead:
+            return
+        found = False
         order = sorted(active)
         sub = [masks[i] for i in order]
         for p, idx in enumerate(order):
             if _is_leaf(sub, p):
                 acc.append(idx)
-                yield from go(active - {idx}, acc)
+                for result in go(active - {idx}, acc):
+                    found = True
+                    yield result
                 acc.pop()
+        if not found:
+            dead.add(active)
 
     yield from go(frozenset(range(len(masks))), [])
 
@@ -385,14 +377,15 @@ def leaf_order(D: SimplicialComplex, mode: str = "greedy"):
     """A facet ordering where each facet is a leaf of the preceding prefix.
 
     None when no such order exists.  `greedy` peels the smallest-index
-    leaf; `exhaustive` backtracks over every removal order and is the
-    oracle the greedy strategy is tested against.
+    leaf; `exhaustive` is the first of `all_leaf_orders`, found by
+    backtracking over removal orders, and is the oracle the greedy
+    strategy is tested against.
     """
     if mode == "greedy":
         removal = _greedy_removal(D._facet_masks)
         return None if removal is None else tuple(reversed(removal))
     if mode == "exhaustive":
-        return _backtracking_order(D._facet_masks)
+        return next(_all_leaf_orders(D._facet_masks), None)
     raise ValueError(f"unknown mode {mode!r}")
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm as int_lcm
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .complexes import (
     EmptyComplex,
@@ -95,38 +95,43 @@ def rank_exact(M) -> int:
 # Reduced simplicial homology over the rationals.
 # ---------------------------------------------------------------------------
 
-def _boundary_ranks(faces_by_dim: list[list[tuple[int, ...]]]) -> list[int]:
-    """Ranks of the augmented boundary maps d_0, d_1, ..., d_top."""
-    # d_0: augmentation row of ones.
-    ranks = [1 if faces_by_dim[0] else 0]
-    for d in range(1, len(faces_by_dim)):
-        mat = [[0] * len(faces_by_dim[d]) for _ in faces_by_dim[d - 1]]
-        for row, col, sign in _signed_boundary(faces_by_dim, d):
-            mat[row][col] = sign
-        ranks.append(rank_exact(mat))
-    return ranks
+def _homology(
+    dims: Sequence[int], differentials: Iterable[Iterable[tuple[int, int, int]]]
+) -> tuple[int, ...]:
+    """dims[i] - rank d_i - rank d_{i+1} in every degree i of a complex
+    whose d_i (from degree i to i-1) has the (row, col, value) entries
+    differentials[i-1].
+
+    This is where a sparse differential meets elimination: each d_i is
+    made dense once for rank_exact.  A one-row d_i has rank 1 iff it has
+    an entry, so an augmentation map costs no elimination.
+    """
+    ranks = [0]
+    for i, entries in enumerate(differentials, start=1):
+        mat = [[0] * dims[i] for _ in range(dims[i - 1])]
+        for row, col, value in entries:
+            mat[row][col] = value
+        ranks.append(rank_exact(mat) if len(mat) > 1 else int(any(map(any, mat))))
+    ranks.append(0)
+    return tuple(dim - ranks[i] - ranks[i + 1] for i, dim in enumerate(dims))
 
 
 def homology_dims_of_faces(face_sets: Iterable[frozenset[int]]) -> tuple[int, ...]:
     """Reduced homology dimensions, indexed from degree -1.
 
     The input lists the nonempty faces; the empty face always sits in
-    degree -1, so an empty input is the complex with only the empty face
-    and reports a single 1 there.
+    degree -1 (listing it changes nothing), so an empty input is the
+    complex with only the empty face and reports a single 1 there.
     """
     face_list = {frozenset(f) for f in face_sets}
-    if not face_list:
-        return (1,)
+    face_list.discard(frozenset())
     if len(face_list) > FACE_GUARD:
         raise ValueError(f"homology guard exceeded ({len(face_list)} faces)")
     by_dim = _faces_by_dim(face_list)
-    top = len(by_dim) - 1
-    ranks = _boundary_ranks(by_dim)
-    ranks.append(0)  # d_{top+1} = 0
-    dims = [1 - ranks[0]]
-    for d in range(top + 1):
-        dims.append(len(by_dim[d]) - ranks[d] - ranks[d + 1])
-    return tuple(dims)
+    return _homology(
+        [len(bucket) for bucket in by_dim],
+        (_signed_boundary(by_dim, d) for d in range(1, len(by_dim))),
+    )
 
 
 def reduced_homology_dims(D) -> tuple[int, ...]:
@@ -155,19 +160,9 @@ def is_exact_frame(fr: Frame) -> bool:
     Demands d.d = 0 over the integers up front and then compares ranks:
     dim ker d_i = rank d_{i+1} for i >= 1.
     """
-    length = len(fr.dims) - 1
-    sparse = [
-        [(r, c, v) for r, row in enumerate(mat) for c, v in enumerate(row) if v]
-        for mat in fr.matrices
-    ]
-    if not _squares_to_zero(sparse):
+    if not _squares_to_zero(fr.differentials):
         raise ValueError("frame differentials do not compose to zero")
-    ranks = [rank_exact(mat) for mat in fr.matrices]
-    ranks.append(0)
-    for i in range(1, length + 1):
-        if fr.dims[i] - ranks[i - 1] - ranks[i] != 0:
-            return False
-    return True
+    return not any(_homology(fr.dims, fr.differentials)[1:])
 
 
 # ---------------------------------------------------------------------------

@@ -94,15 +94,9 @@ class FreeComplex:
     def __post_init__(self):
         if not self.modules or self.modules[0] != (Monomial.one(self.vars),):
             raise ValueError("degree 0 must be the single multidegree 1")
-        if len(self.differentials) != len(self.modules) - 1:
-            raise ValueError("need one differential per positive degree")
+        _check_entries(self.ranks, self.differentials)
         for i, entries in enumerate(self.differentials, start=1):
-            rows, cols = len(self.modules[i - 1]), len(self.modules[i])
-            if len({(e.row, e.col) for e in entries}) != len(entries):
-                raise ValueError(f"two entries at one position in d_{i}")
             for e in entries:
-                if not (0 <= e.row < rows and 0 <= e.col < cols):
-                    raise ValueError(f"entry out of shape in d_{i}")
                 if e.sign not in (1, -1):
                     raise ValueError("entry signs must be +1 or -1")
                 if not divides(self.modules[i - 1][e.row], self.modules[i][e.col]):
@@ -130,6 +124,22 @@ class FreeComplex:
         alone decide.
         """
         return _squares_to_zero(self.differentials)
+
+
+def _check_entries(
+    dims: Sequence[int], differentials: Sequence[Sequence[tuple]]
+) -> None:
+    """One sparse differential per positive degree, each (row, col, value)
+    entry inside its shape, and no two entries at one position."""
+    if len(differentials) != len(dims) - 1:
+        raise ValueError("need one differential per positive degree")
+    for i, entries in enumerate(differentials, start=1):
+        rows, cols = dims[i - 1], dims[i]
+        if len({(row, col) for row, col, _ in entries}) != len(entries):
+            raise ValueError(f"two entries at one position in d_{i}")
+        for row, col, _ in entries:
+            if not (0 <= row < rows and 0 <= col < cols):
+                raise ValueError(f"entry out of shape in d_{i}")
 
 
 def _squares_to_zero(differentials: Sequence[Sequence[tuple]]) -> bool:
@@ -173,9 +183,7 @@ def _face_labels(
     already labeled, with its last vertex.
     """
     index = L.complex.vertices.index
-    by_dim = [[()]] + _faces_by_dim(
-        [index(v) for v in face] for face in faces(L.complex)
-    )
+    by_dim = _faces_by_dim([index(v) for v in face] for face in faces(L.complex))
     label = {(): Monomial.one(L.label_vars)}
     for face in by_dim[1]:
         label[face] = L.labels[face[0]]
@@ -408,29 +416,21 @@ def differentials_in_maximal_ideal(F: FreeComplex) -> bool:
 
 @dataclass(frozen=True)
 class Frame:
+    """Ranks and, for each d_i, its sparse (row, col, value) entries:
+    a free complex with every monomial set to 1."""
+
     dims: tuple[int, ...]
-    matrices: tuple[tuple[tuple[int, ...], ...], ...]
+    differentials: tuple[tuple[tuple[int, int, int], ...], ...]
 
     def __post_init__(self):
-        if len(self.matrices) != len(self.dims) - 1:
-            raise ValueError("need one matrix per positive degree")
-        for i, mat in enumerate(self.matrices, start=1):
-            if len(mat) != self.dims[i - 1] or any(
-                len(row) != self.dims[i] for row in mat
-            ):
-                raise ValueError(f"matrix shape mismatch in degree {i}")
+        _check_entries(self.dims, self.differentials)
+        if any(value == 0 for d in self.differentials for _, _, value in d):
+            raise ValueError("frame entries must be nonzero")
 
 
 def frame(F: FreeComplex) -> Frame:
     """Forget the monomials, keep the signs."""
-    mats = []
-    for i in range(1, F.length + 1):
-        rows, cols = len(F.modules[i - 1]), len(F.modules[i])
-        mat = [[0] * cols for _ in range(rows)]
-        for e in F.differentials[i - 1]:
-            mat[e.row][e.col] = e.sign
-        mats.append(tuple(tuple(row) for row in mat))
-    return Frame(F.ranks, tuple(mats))
+    return Frame(F.ranks, F.differentials)
 
 
 def frame_to_graph(fr: Frame):
@@ -441,17 +441,15 @@ def frame_to_graph(fr: Frame):
     """
     if len(fr.dims) != 3:
         return None
+    columns: list[list[tuple[int, int]]] = [[] for _ in range(fr.dims[2])]
+    for row, col, value in fr.differentials[1]:
+        columns[col].append((value, row))
     edges = []
-    mat = fr.matrices[1]
-    rows, cols = fr.dims[1], fr.dims[2]
-    for c in range(cols):
-        plus = [r for r in range(rows) if mat[r][c] == 1]
-        minus = [r for r in range(rows) if mat[r][c] == -1]
-        if len(plus) != 1 or len(minus) != 1:
+    for column in columns:
+        column.sort()
+        if [value for value, _ in column] != [-1, 1]:
             return None
-        if any(mat[r][c] not in (-1, 0, 1) for r in range(rows)):
-            return None
-        edges.append((minus[0], plus[0]))
+        edges.append((column[0][1], column[1][1]))
     return tuple(edges)
 
 

@@ -13,6 +13,7 @@ from treeres.monomial import (
     parse_monomial,
 )
 from treeres.complexes import SimplicialComplex
+from treeres.resolution import Frame
 
 SIX_VAR_IDEAL_TEXT = "vars x1 x2 x3 x4 x5 x6\nx1*x3*x6, x1*x4*x6, x1*x2*x4, x4*x5*x6\n"
 STAR_IDEAL_TEXT = "vars x1 x2 x3 x4 x5\nx1*x2*x3, x1*x2*x4, x1*x3*x4, x2*x3*x4\n"
@@ -40,6 +41,14 @@ def hollow_triangle() -> SimplicialComplex:
     return cx("abc", [("a", "b"), ("b", "c"), ("c", "a")])
 
 
+def cycle_with_pendants(pendants: int = 8) -> SimplicialComplex:
+    """A 4-cycle on a, b, c, d with pendant edges hung round it in turn:
+    no leaf order, but many orders in which to peel the pendants."""
+    cycle = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")]
+    hang = [(cycle[k % 4][0], f"p{k}") for k in range(pendants)]
+    return cx(["a", "b", "c", "d"] + [p for _, p in hang], cycle + hang)
+
+
 def column_fingerprint(F, degree: int = 2):
     """Degree-`degree` matrix of a FreeComplex, canonical up to row and
     column permutation and a global sign per column."""
@@ -57,6 +66,30 @@ def column_fingerprint(F, degree: int = 2):
             entries = [(r, m, -s) for r, m, s in entries]
         out.append((cols[c].exponents, tuple(entries)))
     return tuple(sorted(out))
+
+
+def frame_from_matrices(dims, matrices) -> Frame:
+    """A Frame given by dense matrices, one list of rows per positive degree."""
+    return Frame(
+        tuple(dims),
+        tuple(
+            tuple(
+                (r, c, v) for r, row in enumerate(mat) for c, v in enumerate(row) if v
+            )
+            for mat in matrices
+        ),
+    )
+
+
+def frame_matrices(fr: Frame) -> tuple:
+    """The differentials of a Frame as dense tuples of row tuples."""
+    out = []
+    for i, entries in enumerate(fr.differentials, start=1):
+        mat = [[0] * fr.dims[i] for _ in range(fr.dims[i - 1])]
+        for r, c, v in entries:
+            mat[r][c] = v
+        out.append(tuple(map(tuple, mat)))
+    return tuple(out)
 
 
 def printed_matrix_fingerprint(vars: VariableSet, columns) -> tuple:

@@ -8,12 +8,12 @@ import pytest
 
 import treeres
 from treeres.cli import main
-from treeres.complexes import complex_from_json
+from treeres.complexes import complex_from_json, complex_to_json
 from treeres.homology import betti_from_json
 from treeres.monomial import POLARIZE_GUARD
 from treeres.resolution import free_complex_from_json, labeled_complex_from_json
 
-from helpers import SIX_VAR_IDEAL_TEXT, STAR_IDEAL_TEXT
+from helpers import SIX_VAR_IDEAL_TEXT, STAR_IDEAL_TEXT, cycle_with_pendants
 
 HOLLOW_JSON = json.dumps(
     {"vertices": ["a", "b", "c"], "facets": [["a", "b"], ["b", "c"], ["c", "a"]]}
@@ -150,6 +150,14 @@ class TestTreeCommands:
                      "--format", "json"]) == 0
         trees = json.loads(capsys.readouterr().out)
         assert len(trees) == 16
+
+    @pytest.mark.parametrize("joint", [[], ["--joint", "all"]], ids=["first", "all"])
+    def test_tree_of_non_quasi_forest_is_an_error(self, joint):
+        complex_json = complex_to_json(cycle_with_pendants())
+        proc = _run_cli(["tree", *joint], json.dumps(complex_json))
+        assert proc.returncode == 2
+        assert proc.stderr == "error: not a quasi-forest: no leaf order exists\n"
+        assert "Traceback" not in proc.stderr
 
     def test_floystad(self, six_var_file, capsys):
         assert main(["floystad", "--input", six_var_file, "--format", "json"]) == 0

@@ -179,6 +179,47 @@ class TestJointsAndFreeVertices:
                         assert f & h <= g
 
 
+def backtracking_order(masks):
+    """Some leaf order by a standalone backtracking search; None if none.
+
+    Peels a leaf of the active subcollection, smallest index first, and
+    appends it after the order of the remainder; a subcollection from
+    which no removal completes is never explored twice.
+    """
+    dead = set()
+
+    def go(active):
+        if not active:
+            return []
+        if active in dead:
+            return None
+        order = sorted(active)
+        sub = [masks[i] for i in order]
+        for p, idx in enumerate(order):
+            if is_leaf_mask(sub, p):
+                rest = go(active - {idx})
+                if rest is not None:
+                    return rest + [idx]
+        dead.add(active)
+        return None
+
+    found = go(frozenset(range(len(masks))))
+    return None if found is None else tuple(found)
+
+
+def is_leaf_mask(masks, i):
+    """Facet i is a leaf: alone, or some other facet holds its intersection
+    with the union of the rest."""
+    if len(masks) == 1:
+        return True
+    rest = 0
+    for j, m in enumerate(masks):
+        if j != i:
+            rest |= m
+    meet = masks[i] & rest
+    return any(j != i and meet & ~m == 0 for j, m in enumerate(masks))
+
+
 class TestLeafOrders:
     def test_six_var_dual_presentation_order_is_valid(self):
         D = six_var_dual()
@@ -211,6 +252,10 @@ class TestLeafOrders:
     def test_every_enumerated_order_is_valid(self, D):
         for order in itertools.islice(all_leaf_orders(D), 30):
             assert is_leaf_order(D, order)
+
+    @given(complexes())
+    def test_exhaustive_matches_standalone_backtracking(self, D):
+        assert leaf_order(D, "exhaustive") == backtracking_order(D._facet_masks)
 
 
 class TestQuasiForestRecognizers:

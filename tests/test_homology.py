@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from treeres.complexes import EmptyComplex, VoidComplex, f_vector
+from treeres.complexes import EmptyComplex, VoidComplex, f_vector, faces
 from treeres.duality import dual_facets
 from treeres.homology import (
     betti,
@@ -19,7 +19,6 @@ from treeres.homology import (
 )
 from treeres.monomial import Monomial, VariableSet, parse_ideal
 from treeres.resolution import (
-    Frame,
     LabeledComplex,
     build_tree,
     frame,
@@ -30,7 +29,15 @@ from treeres.resolution import (
     taylor,
 )
 
-from helpers import cx, hollow_triangle, mono, six_var_ideal, star_ideal
+from helpers import (
+    cx,
+    frame_from_matrices,
+    hollow_triangle,
+    mono,
+    six_var_ideal,
+    star_ideal,
+)
+from strategies import complexes, labeled_forests
 
 
 def naive_rank(rows) -> int:
@@ -97,7 +104,37 @@ class TestRank:
         assert rank_exact(rows) == rank_exact([list(col) for col in zip(*rows)])
 
 
+def dense_homology_dims(face_sets) -> tuple[int, ...]:
+    """Reduced homology from dense augmented boundary matrices, built per
+    dimension with no shared helper; indexed from degree -1."""
+    by_size: dict[int, list[tuple[int, ...]]] = {}
+    for f in {frozenset(f) for f in face_sets}:
+        by_size.setdefault(len(f), []).append(tuple(sorted(f)))
+    if not by_size:
+        return (1,)
+    buckets = [sorted(by_size[k]) for k in range(1, max(by_size) + 1)]
+    ranks = [1]  # the augmentation: a row of ones
+    for d in range(1, len(buckets)):
+        rows, cols = buckets[d - 1], buckets[d]
+        mat = [[0] * len(cols) for _ in rows]
+        for c, face in enumerate(cols):
+            for pos in range(len(face)):
+                sub = face[:pos] + face[pos + 1:]
+                mat[rows.index(sub)][c] = -1 if pos % 2 else 1
+        ranks.append(rank_exact(mat))
+    ranks.append(0)
+    return (1 - ranks[0],) + tuple(
+        len(bucket) - ranks[d] - ranks[d + 1] for d, bucket in enumerate(buckets)
+    )
+
+
 class TestReducedHomology:
+    @given(complexes())
+    def test_matches_dense_boundary_ranks(self, D):
+        index = D.vertices.index
+        face_sets = [frozenset(map(index, f)) for f in faces(D)]
+        assert homology_dims_of_faces(face_sets) == dense_homology_dims(face_sets)
+
     def test_two_isolated_vertices(self):
         dims = reduced_homology_dims(cx("ab", [("a",), ("b",)]))
         assert dims == (0, 1)  # H~_{-1} = 0, H~_0 = 1
@@ -118,6 +155,7 @@ class TestReducedHomology:
         assert reduced_homology_dims(EmptyComplex(V)) == (1,)
         assert reduced_homology_dims(VoidComplex(V)) == ()
         assert homology_dims_of_faces([]) == (1,)
+        assert homology_dims_of_faces([frozenset()]) == (1,)
 
     def test_two_spheres_worth_of_homology(self):
         # Boundary of the tetrahedron: a 2-sphere.
@@ -136,7 +174,7 @@ class TestExactFrame:
         assert is_exact_frame(frame(F))
 
     def test_composition_must_vanish(self):
-        bad = Frame((1, 2, 1), (((1, 1),), ((1,), (0,))))
+        bad = frame_from_matrices((1, 2, 1), (((1, 1),), ((1,), (0,))))
         with pytest.raises(ValueError):
             is_exact_frame(bad)
 
@@ -152,8 +190,14 @@ class TestExactFrame:
 
     def test_detects_failure_of_exactness(self):
         # d2 = 0 on a rank-2 kernel: homology survives in degree 1.
-        fr = Frame((1, 2, 1), (((1, -1),), ((0,), (0,))))
+        fr = frame_from_matrices((1, 2, 1), (((1, -1),), ((0,), (0,))))
         assert not is_exact_frame(fr)
+
+    @given(labeled_forests())
+    def test_forest_frame_is_exact_iff_forest_is_acyclic(self, L):
+        assert is_exact_frame(frame(homogenize(L))) == (
+            not any(reduced_homology_dims(L.complex)[1:])
+        )
 
     def test_frame_exactness_is_blind_to_labels(self):
         # A mislabeled path: the frame is exact (a path is contractible)

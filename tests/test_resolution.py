@@ -34,6 +34,8 @@ from treeres.resolution import (
 from helpers import (
     column_fingerprint,
     cx,
+    frame_from_matrices,
+    frame_matrices,
     hollow_triangle,
     mono,
     printed_matrix_fingerprint,
@@ -135,7 +137,7 @@ class TestTaylor:
                     sub = face[:pos] + face[pos + 1:]
                     mat[rows.index(sub)][c] = -1 if pos % 2 else 1
             expected.append(tuple(tuple(r) for r in mat))
-        assert fr.matrices == tuple(expected)
+        assert frame_matrices(fr) == tuple(expected)
 
 
 class TestLcmLattice:
@@ -345,13 +347,14 @@ class TestFrames:
         fr = frame(homogenize(build_tree(dual_facets(six_var_ideal()))))
         assert fr.dims == (1, 4, 3)
         for c in range(3):
-            col = [fr.matrices[1][r][c] for r in range(4)]
+            col = [frame_matrices(fr)[1][r][c] for r in range(4)]
             assert sorted(col) == [-1, 0, 0, 1]
 
     def test_koszul_frame(self):
         fr = frame(taylor(parse_ideal("vars x1 x2\nx1\nx2\n")))
-        assert fr.matrices[0] == ((1, 1),)
-        assert sorted(fr.matrices[1]) == [(-1,), (1,)]
+        matrices = frame_matrices(fr)
+        assert matrices[0] == ((1, 1),)
+        assert sorted(matrices[1]) == [(-1,), (1,)]
 
     def test_frame_to_graph_star(self):
         fr = frame(homogenize(build_tree(dual_facets(six_var_ideal()))))
@@ -369,10 +372,39 @@ class TestFrames:
         assert edges == ((0, 1),) or edges == ((1, 0),)
 
     def test_frame_to_graph_rejects_bad_shape(self):
-        fr = Frame((1, 2, 1), (((1, 1),), ((1,), (1,))))
+        fr = frame_from_matrices((1, 2, 1), (((1, 1),), ((1,), (1,))))
         assert frame_to_graph(fr) is None
         long_frame = frame(taylor(parse_ideal("vars x1 x2 x3\nx1\nx2\nx3\n")))
         assert frame_to_graph(long_frame) is None
+
+    def test_frame_keeps_the_free_complex_entries(self):
+        F = taylor(parse_ideal("vars x1 x2 x3\nx1\nx2\nx3\n"))
+        fr = frame(F)
+        assert fr.dims == F.ranks
+        assert fr.differentials is F.differentials
+
+    @pytest.mark.parametrize(
+        "dims, differentials",
+        [
+            ((1, 2), (((0, 2, 1),),)),
+            ((1, 2), (((0, 0, 1), (-1, 1, 1)),)),
+            ((1, 2), (((0, 0, 1), (0, 0, -1)),)),
+            ((1, 2), (((0, 0, 1), (0, 1, 0)),)),
+            ((1, 2, 1), (((0, 0, 1), (0, 1, 1)),)),
+            ((1, 2), ()),
+        ],
+        ids=[
+            "out-of-shape", "negative-row", "two-at-one-position",
+            "zero-value", "missing-differential", "no-differential",
+        ],
+    )
+    def test_sparse_frame_rejects_malformed_entries(self, dims, differentials):
+        with pytest.raises(ValueError):
+            Frame(dims, differentials)
+
+    def test_frame_to_graph_rejects_a_column_holding_two(self):
+        fr = Frame((1, 2, 1), (((0, 0, 1), (0, 1, 1)), ((0, 0, 2), (1, 0, -1))))
+        assert frame_to_graph(fr) is None
 
     @given(labeled_forests())
     def test_unit_entry_detection_agrees_with_minimal_support(self, L):
