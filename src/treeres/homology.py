@@ -1,7 +1,7 @@
 """Exact linear algebra over the rationals and the homology oracles.
 
 Everything here is independent of the tree constructions it is used to
-check: ranks come from fraction-free (Bareiss) elimination on integers,
+check: ranks come from sparse row reduction over the rationals,
 reduced homology from augmented boundary matrices, and the graded Betti
 numbers from strict-divisor subcomplexes of the labeled full simplex on
 the generators.  No floating point anywhere.
@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm as int_lcm
 from typing import Iterable, Sequence
 
 from .complexes import (
@@ -22,73 +21,55 @@ from .complexes import (
     _signed_boundary,
     faces,
 )
-from .monomial import Monomial, MonomialIdeal, VariableSet, divides, lcm_closure
+from .monomial import Monomial, MonomialIdeal, VariableSet, exponent_masks, lcm_closure
 from .resolution import Frame, _squares_to_zero
 
 FACE_GUARD = 1 << 16
 BETTI_GUARD = 12
 
 
-def _integer_rows(M) -> list[list[int]]:
-    """Fresh integer rows of M (rank_exact eliminates in place).
+def _rank(nrows: int, entries: Iterable[tuple[int, int, object]]) -> int:
+    """Rank over the rationals of the nrows-row matrix with the given
+    (row, col, value) entries, by sparse row reduction.
 
-    Integer rows are copied as they are; rational rows are scaled by the
-    lcm of their denominators.
+    Each row is reduced by the stored pivot rows in order of its leading
+    column; a row that survives is scaled to lead with 1 and stored.
+    Scaling by -1 keeps integers, so a Fraction appears only under a
+    leading value other than +1 or -1.
     """
-    out = []
-    for row in M:
-        if all(isinstance(x, int) for x in row):
-            out.append(list(row))
-            continue
-        fracs = [Fraction(x) for x in row]
-        scale = 1
-        for x in fracs:
-            scale = int_lcm(scale, x.denominator)
-        out.append([int(x * scale) for x in fracs])
-    return out
+    rows: list[dict[int, object]] = [{} for _ in range(nrows)]
+    for row, col, value in entries:
+        if value:
+            rows[row][col] = value
+    pivots: dict[int, dict[int, object]] = {}
+    for row in rows:
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                a = row[lead]
+                if a == -1:
+                    row = {col: -value for col, value in row.items()}
+                elif a != 1:
+                    row = {col: Fraction(value) / a for col, value in row.items()}
+                pivots[lead] = row
+                break
+            factor = row[lead]
+            for col, value in pivot.items():
+                x = row.get(col, 0) - factor * value
+                if x:
+                    row[col] = x
+                else:
+                    del row[col]
+    return len(pivots)
 
 
 def rank_exact(M) -> int:
-    """Rank over the rationals by fraction-free Bareiss elimination.
-
-    Row scaling clears denominators first; every intermediate division is
-    exact, so the computation stays in the integers.
-    """
-    A = _integer_rows(M)
-    if not A or not A[0]:
-        return 0
-    m, n = len(A), len(A[0])
-    rank = 0
-    prev = 1
-    for k in range(min(m, n)):
-        # Full pivoting: any nonzero entry in the trailing block.
-        pivot = next(
-            (
-                (i, j)
-                for i in range(k, m)
-                for j in range(k, n)
-                if A[i][j] != 0
-            ),
-            None,
-        )
-        if pivot is None:
-            break
-        pi, pj = pivot
-        if pi != k:
-            A[k], A[pi] = A[pi], A[k]
-        if pj != k:
-            for row in A:
-                row[k], row[pj] = row[pj], row[k]
-        rank += 1
-        pk = A[k][k]
-        for i in range(k + 1, m):
-            aik = A[i][k]
-            row_i, row_k = A[i], A[k]
-            for j in range(k + 1, n):
-                row_i[j] = (pk * row_i[j] - aik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pk
-    return rank
+    """Rank over the rationals of a matrix given as a list of rows."""
+    return _rank(
+        len(M),
+        ((r, c, value) for r, row in enumerate(M) for c, value in enumerate(row)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -102,16 +83,11 @@ def _homology(
     whose d_i (from degree i to i-1) has the (row, col, value) entries
     differentials[i-1].
 
-    This is where a sparse differential meets elimination: each d_i is
-    made dense once for rank_exact.  A one-row d_i has rank 1 iff it has
-    an entry, so an augmentation map costs no elimination.
+    Each d_i goes to the sparse elimination as it is.
     """
     ranks = [0]
     for i, entries in enumerate(differentials, start=1):
-        mat = [[0] * dims[i] for _ in range(dims[i - 1])]
-        for row, col, value in entries:
-            mat[row][col] = value
-        ranks.append(rank_exact(mat) if len(mat) > 1 else int(any(map(any, mat))))
+        ranks.append(_rank(dims[i - 1], entries))
     ranks.append(0)
     return tuple(dim - ranks[i] - ranks[i + 1] for i, dim in enumerate(dims))
 
@@ -207,30 +183,30 @@ def betti(I: MonomialIdeal) -> BettiTable:
     For each lcm-lattice element m, beta_{i,m} is the reduced homology in
     degree i-2 of the faces of the labeled full simplex on the generators
     whose label strictly divides m; beta_0 is 1 at multidegree 1.  Valid
-    for arbitrary (not only squarefree) monomial ideals.
+    for arbitrary (not only squarefree) monomial ideals.  The sweep runs on
+    ``exponent_masks`` of the generators and the lattice, so a subset lcm
+    is a bitwise or and divisibility is mask inclusion.
     """
     if I.q > BETTI_GUARD:
         raise ValueError(f"betti guard exceeded (q={I.q})")
     gens = I.generators
+    lattice = tuple(lcm_closure(gens))
+    masks, _ = exponent_masks(gens + lattice)
+    gen_masks = masks[: len(gens)]
     entries: list[tuple[int, Monomial, int]] = [
         (0, Monomial.one(I.vars), 1)
     ]
-    for m in sorted(lcm_closure(gens), key=lambda x: (x.degree(), x.exponents)):
-        divisor_idx = [k for k, g in enumerate(gens) if divides(g, m)]
+    for m, top in zip(lattice, masks[len(gens):]):
+        divisor_idx = [k for k, g in enumerate(gen_masks) if g & ~top == 0]
         k = len(divisor_idx)
         # lcm of each subset by peeling the lowest bit.
-        sub_lcm: list[tuple[int, ...] | None] = [None] * (1 << k)
+        sub_lcm = [0] * (1 << k)
         strict_faces: list[frozenset[int]] = []
         for mask in range(1, 1 << k):
             low = mask & -mask
-            bit = low.bit_length() - 1
-            rest = mask ^ low
-            g = gens[divisor_idx[bit]].exponents
-            if rest == 0:
-                sub_lcm[mask] = g
-            else:
-                sub_lcm[mask] = tuple(map(max, sub_lcm[rest], g))
-            if sub_lcm[mask] != m.exponents:
+            g = gen_masks[divisor_idx[low.bit_length() - 1]]
+            sub_lcm[mask] = sub_lcm[mask ^ low] | g
+            if sub_lcm[mask] != top:
                 strict_faces.append(
                     frozenset(
                         divisor_idx[b] for b in range(k) if mask >> b & 1

@@ -176,22 +176,62 @@ def lcm_all(monomials: Iterable[Monomial]) -> Monomial:
     return out
 
 
+def exponent_masks(
+    monomials: Sequence[Monomial],
+) -> tuple[list[int], tuple[tuple[int, ...], ...]]:
+    """Bit masks of the monomials on which lcm is ``|`` and divisibility
+    is mask inclusion, and the levels that decode them.
+
+    The levels of a variable are its distinct nonzero exponents among the
+    inputs, sorted; x_i^e sets the first r bits of x_i's block, where e is
+    the r-th level.  A block is as wide as its variable's number of levels,
+    so the masks stay small whatever the exponents.  Exact for the inputs
+    and every lcm of them.
+    """
+    columns = list(zip(*(m.exponents for m in monomials)))
+    levels = tuple(tuple(sorted(set(column) - {0})) for column in columns)
+    masks = [0] * len(monomials)
+    offset = 0
+    for column, values in zip(columns, levels):
+        rank = {e: r for r, e in enumerate(values, start=1)}
+        for k, e in enumerate(column):
+            if e:
+                masks[k] |= ((1 << rank[e]) - 1) << offset
+        offset += len(values)
+    return masks, levels
+
+
+def mask_exponents(mask: int, levels: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """The exponent vector that ``mask`` encodes under ``levels``."""
+    exps = []
+    for values in levels:
+        r = (mask & ((1 << len(values)) - 1)).bit_length()
+        exps.append(values[r - 1] if r else 0)
+        mask >>= len(values)
+    return tuple(exps)
+
+
 def lcm_closure(monomials: Sequence[Monomial]) -> frozenset[Monomial]:
-    """All lcms of nonempty subsets: the closure under pairwise lcm."""
+    """All lcms of nonempty subsets: the closure under pairwise lcm,
+    taken on exponent masks."""
     if not monomials:
         raise ValueError("lcm closure of an empty collection")
-    closed: set[Monomial] = set(monomials)
+    vars = monomials[0].vars
+    for m in monomials:
+        _check_same_vars(monomials[0], m)
+    gens, levels = exponent_masks(monomials)
+    closed = set(gens)
     frontier = list(closed)
     while frontier:
         nxt = []
         for m in frontier:
-            for g in monomials:
-                v = lcm(m, g)
+            for g in gens:
+                v = m | g
                 if v not in closed:
                     closed.add(v)
                     nxt.append(v)
         frontier = nxt
-    return frozenset(closed)
+    return frozenset(Monomial(vars, mask_exponents(m, levels)) for m in closed)
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,7 @@ from .monomial import (
     MonomialIdeal,
     VariableSet,
     divides,
+    exponent_masks,
     lcm,
     lcm_all,
     lcm_closure,
@@ -237,9 +238,8 @@ def _paths_under_pair_lcms(L: LabeledComplex) -> bool:
     lcm(l_a, l_b) is a lattice element, a connected induced subforest
     holding a and b holds their path, and every lattice element divisible
     by l_a and l_b is divisible by their lcm.  One search per source
-    carries the lcm of the interior labels as a polarized mask (x_i^e sets
-    the first e bits of a block as wide as x_i's largest exponent), on
-    which lcm is bitwise or and divisibility is inclusion: O(q^2) steps.
+    carries the lcm of the interior labels as an ``exponent_masks`` mask,
+    on which lcm is bitwise or and divisibility is inclusion: O(q^2) steps.
     """
     D = L.complex
     index = D.vertices.index
@@ -251,12 +251,7 @@ def _paths_under_pair_lcms(L: LabeledComplex) -> bool:
             a, b = map(index, f)
             adjacent[a].append(b)
             adjacent[b].append(a)
-    labels = [0] * len(L.labels)
-    offset = 0
-    for column in zip(*(m.exponents for m in L.labels)):
-        for k, e in enumerate(column):
-            labels[k] |= ((1 << e) - 1) << offset
-        offset += max(column)
+    labels, _ = exponent_masks(L.labels)
     for source in adjacent:
         reached = 1
         stack = [(v, source, 0) for v in adjacent[source]]

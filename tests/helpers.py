@@ -8,11 +8,14 @@ from treeres.monomial import (
     Monomial,
     MonomialIdeal,
     VariableSet,
+    divides,
+    lcm,
     minimalize,
     parse_ideal,
     parse_monomial,
 )
 from treeres.complexes import SimplicialComplex
+from treeres.homology import homology_dims_of_faces
 from treeres.resolution import Frame
 
 SIX_VAR_IDEAL_TEXT = "vars x1 x2 x3 x4 x5 x6\nx1*x3*x6, x1*x4*x6, x1*x2*x4, x4*x5*x6\n"
@@ -138,3 +141,56 @@ def random_nonsquarefree_ideal(rng: random.Random):
         I = minimalize(gens)
         if I.q <= 4 and not I.is_squarefree():
             return I
+
+
+def pairwise_lcm_closure(monomials) -> frozenset[Monomial]:
+    """Fixed point of pairwise ``lcm`` on validated Monomials."""
+    closed: set[Monomial] = set(monomials)
+    frontier = list(closed)
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for g in monomials:
+                v = lcm(m, g)
+                if v not in closed:
+                    closed.add(v)
+                    nxt.append(v)
+        frontier = nxt
+    return frozenset(closed)
+
+
+def monomial_betti_entries(I: MonomialIdeal) -> tuple:
+    """Graded Betti entries of S/I from a lattice sweep on Monomials: each
+    subset lcm is a componentwise max of exponent tuples, and each
+    divisibility a ``divides`` call."""
+    gens = I.generators
+    entries = [(0, Monomial.one(I.vars), 1)]
+    lattice = pairwise_lcm_closure(gens)
+    for m in sorted(lattice, key=lambda x: (x.degree(), x.exponents)):
+        divisor_idx = [k for k, g in enumerate(gens) if divides(g, m)]
+        k = len(divisor_idx)
+        # lcm of each subset by peeling the lowest bit.
+        sub_lcm: list[tuple[int, ...] | None] = [None] * (1 << k)
+        strict_faces: list[frozenset[int]] = []
+        for mask in range(1, 1 << k):
+            low = mask & -mask
+            bit = low.bit_length() - 1
+            rest = mask ^ low
+            g = gens[divisor_idx[bit]].exponents
+            if rest == 0:
+                sub_lcm[mask] = g
+            else:
+                sub_lcm[mask] = tuple(map(max, sub_lcm[rest], g))
+            if sub_lcm[mask] != m.exponents:
+                strict_faces.append(
+                    frozenset(
+                        divisor_idx[b] for b in range(k) if mask >> b & 1
+                    )
+                )
+        dims = homology_dims_of_faces(strict_faces)
+        for i in range(1, k + 2):
+            pos = i - 1  # dims is indexed from degree -1
+            if 0 <= pos < len(dims) and dims[pos] > 0:
+                entries.append((i, m, dims[pos]))
+    entries.sort(key=lambda t: (t[0], t[1].degree(), t[1].exponents))
+    return tuple(entries)

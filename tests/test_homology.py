@@ -17,7 +17,7 @@ from treeres.homology import (
     rank_exact,
     reduced_homology_dims,
 )
-from treeres.monomial import Monomial, VariableSet, parse_ideal
+from treeres.monomial import Monomial, MonomialIdeal, VariableSet, parse_ideal
 from treeres.resolution import (
     LabeledComplex,
     build_tree,
@@ -33,11 +33,12 @@ from helpers import (
     cx,
     frame_from_matrices,
     hollow_triangle,
+    monomial_betti_entries,
     mono,
     six_var_ideal,
     star_ideal,
 )
-from strategies import complexes, labeled_forests
+from strategies import complexes, ideals, labeled_forests, squarefree_ideals
 
 
 def naive_rank(rows) -> int:
@@ -66,6 +67,20 @@ int_matrices = st.integers(1, 5).flatmap(
     lambda n: st.integers(1, 5).flatmap(
         lambda m: st.lists(
             st.lists(st.integers(-6, 6), min_size=m, max_size=m),
+            min_size=n,
+            max_size=n,
+        )
+    )
+)
+
+# Pivots that are not units of the integers, rational entries, and
+# matrices with no rows or no columns.
+RATIONAL_ENTRIES = (0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3))
+
+rational_matrices = st.integers(0, 5).flatmap(
+    lambda n: st.integers(0, 5).flatmap(
+        lambda m: st.lists(
+            st.lists(st.sampled_from(RATIONAL_ENTRIES), min_size=m, max_size=m),
             min_size=n,
             max_size=n,
         )
@@ -102,6 +117,19 @@ class TestRank:
     @given(int_matrices)
     def test_transpose_invariant(self, rows):
         assert rank_exact(rows) == rank_exact([list(col) for col in zip(*rows)])
+
+    @given(rational_matrices)
+    def test_matches_naive_elimination_over_rationals(self, rows):
+        assert rank_exact(rows) == naive_rank(rows)
+
+    def test_non_unit_pivots(self):
+        assert rank_exact([[2, 4], [-3, -6]]) == 1
+        assert rank_exact([[2, 1], [-3, 1]]) == 2
+        assert rank_exact([[0, 2, -3], [0, 4, -6], [Fraction(1, 2), 0, 0]]) == 2
+
+    def test_no_rows_or_no_columns(self):
+        assert rank_exact([]) == 0
+        assert rank_exact([[], [], []]) == 0
 
 
 def dense_homology_dims(face_sets) -> tuple[int, ...]:
@@ -157,6 +185,13 @@ class TestReducedHomology:
         assert homology_dims_of_faces([]) == (1,)
         assert homology_dims_of_faces([frozenset()]) == (1,)
 
+    def test_real_projective_plane_is_rationally_acyclic(self):
+        # The six-vertex RP^2: H_1 = Z/2 vanishes over Q, so every reduced
+        # dimension is 0; over GF(2) H_1 and H_2 would both be 1.
+        facets = ("123", "134", "145", "156", "162", "235", "346", "452", "563", "624")
+        D = cx("abcdef", [tuple("abcdef"[int(v) - 1] for v in f) for f in facets])
+        assert reduced_homology_dims(D) == (0, 0, 0, 0)
+
     def test_two_spheres_worth_of_homology(self):
         # Boundary of the tetrahedron: a 2-sphere.
         D = cx("abcd", [("a", "b", "c"), ("a", "b", "d"), ("a", "c", "d"),
@@ -172,6 +207,13 @@ class TestExactFrame:
     def test_koszul_frame(self):
         F = taylor(parse_ideal("vars x1 x2\nx1\nx2\n"))
         assert is_exact_frame(frame(F))
+
+    def test_taylor_frame_on_ten_variables(self):
+        V = VariableSet(tuple(f"x{i}" for i in range(10)))
+        I = MonomialIdeal(V, tuple(
+            Monomial(V, tuple(int(j == i) for j in range(10))) for i in range(10)
+        ))
+        assert is_exact_frame(frame(taylor(I)))
 
     def test_composition_must_vanish(self):
         bad = frame_from_matrices((1, 2, 1), (((1, 1),), ((1,), (0,))))
@@ -283,6 +325,25 @@ class TestBettiOracle:
 
         with pytest.raises(ValueError):
             betti(MonomialIdeal(V, gens))
+
+
+class TestBettiMatchesMonomialSweep:
+    """The mask sweep against the lattice sweep on validated Monomials."""
+
+    @given(ideals(max_exp=3))
+    def test_any_exponents(self, I):
+        assert betti(I).entries == monomial_betti_entries(I)
+
+    @given(squarefree_ideals(VariableSet(tuple(f"x{i}" for i in range(5))), max_gens=6))
+    def test_squarefree(self, I):
+        assert betti(I).entries == monomial_betti_entries(I)
+
+    def test_exponents_near_1e8(self):
+        I = parse_ideal(
+            "x1^100000000*x2, x1^99999999*x3, x1^99999998*x4*x5, x2*x3*x4, "
+            "x5*x6, x6^90000000*x2\n"
+        )
+        assert betti(I).entries == monomial_betti_entries(I)
 
 
 class TestBettiTableJson:

@@ -10,9 +10,12 @@ from treeres.monomial import (
     ParseError,
     VariableSet,
     divides,
+    exponent_masks,
     format_ideal,
     gcd,
     lcm,
+    lcm_closure,
+    mask_exponents,
     minimalize,
     parse_ideal,
     parse_monomial,
@@ -20,7 +23,7 @@ from treeres.monomial import (
     restrict,
 )
 
-from helpers import mono, six_var_ideal
+from helpers import mono, pairwise_lcm_closure, six_var_ideal
 from strategies import XYZ, monomials, nonunit_monomials, squarefree_ideals
 
 X6 = VariableSet(tuple(f"x{i}" for i in range(1, 7)))
@@ -98,6 +101,48 @@ class TestLcmGcd:
     def test_order_relations(self, a, b):
         assert divides(gcd(a, b), a)
         assert divides(a, lcm(a, b))
+
+
+big_exponent_lists = st.lists(
+    st.one_of(monomials(max_exp=3), monomials(max_exp=10**9)), min_size=1, max_size=6
+)
+
+
+class TestExponentMasks:
+    @given(big_exponent_lists)
+    def test_round_trip(self, ms):
+        masks, levels = exponent_masks(ms)
+        assert [mask_exponents(mask, levels) for mask in masks] == [
+            m.exponents for m in ms
+        ]
+
+    @given(big_exponent_lists)
+    def test_or_is_lcm_and_inclusion_is_divides(self, ms):
+        masks, levels = exponent_masks(ms)
+        for a, ma in zip(ms, masks):
+            for b, mb in zip(ms, masks):
+                assert mask_exponents(ma | mb, levels) == lcm(a, b).exponents
+                assert (ma & ~mb == 0) == divides(a, b)
+
+    def test_blocks_are_as_wide_as_the_distinct_exponents(self):
+        ms = [mono(XYZ, "x^100000000*y"), mono(XYZ, "x^7*y"), mono(XYZ, "z^3")]
+        masks, levels = exponent_masks(ms)
+        assert levels == ((7, 100000000), (1,), (3,))
+        assert masks == [0b111, 0b101, 0b1000]
+
+
+class TestLcmClosure:
+    @given(big_exponent_lists)
+    def test_is_the_pairwise_lcm_fixed_point(self, ms):
+        assert lcm_closure(ms) == pairwise_lcm_closure(ms)
+
+    def test_rejects_mixed_variable_sets(self):
+        with pytest.raises(ValueError):
+            lcm_closure([mono(XYZ, "x"), mono(X6, "x1")])
+
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError):
+            lcm_closure([])
 
 
 class TestMinimalize:

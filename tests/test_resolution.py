@@ -205,6 +205,24 @@ class TestTreePathSupport:
         # x2 lies on the path from v1 to v3 but does not divide x1*x3.
         assert not supports_resolution(LabeledComplex(path, labels))
 
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_thirty_vertex_path_with_exponents_near_1e8(self, swap):
+        # v_i carries x^(10^8 - i) * y^(i + 1): the lcm of two labels is
+        # divided exactly by the labels between them, so the path supports
+        # the resolution until two inner labels trade places.
+        V = VariableSet(("x", "y"))
+        exps = [(10**8 - i, i + 1) for i in range(30)]
+        if swap:
+            exps[10], exps[20] = exps[20], exps[10]
+        names = [f"v{i + 1}" for i in range(30)]
+        L = LabeledComplex(
+            cx(names, list(zip(names, names[1:]))),
+            tuple(Monomial(V, e) for e in exps),
+        )
+        verdict = supports_resolution(L)
+        assert verdict == _divisor_induced_connected(L, lcm_closure(L.labels))
+        assert verdict is not swap
+
 
 class TestMinimalSupport:
     def test_six_var_star_tree(self):
