@@ -410,9 +410,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The process's one parser, built by the first ``main`` call.  Parsing
+# leaves it unchanged, and building one per call costs more than most
+# commands.
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return args.handler(args)
     except ParseError as exc:

@@ -167,31 +167,40 @@ def _masks_by_size(n: int) -> list[int]:
     return sorted(range(1, 1 << n), key=lambda m: (m.bit_count(), m))
 
 
-def _faces_by_dim(face_sets: Iterable[Iterable[int]]) -> list[list[tuple[int, ...]]]:
-    """Faces as sorted index tuples, one sorted bucket per size.
+def _faces_by_dim(face_masks: Iterable[int]) -> list[list[int]]:
+    """Faces as vertex bitmasks, one bucket per size, each bucket in
+    input order.
 
-    Bucket k holds the faces of size k, so the empty face () comes first
+    Bucket k holds the faces of size k, so the empty face 0 comes first
     and the buckets index the augmented complex.
     """
-    by_dim: list[list[tuple[int, ...]]] = [[()]]
-    for key in sorted(tuple(sorted(f)) for f in face_sets):
-        while len(by_dim) <= len(key):
+    by_dim: list[list[int]] = [[0]]
+    for mask in face_masks:
+        size = mask.bit_count()
+        while len(by_dim) <= size:
             by_dim.append([])
-        by_dim[len(key)].append(key)
+        by_dim[size].append(mask)
     return by_dim
 
 
 def _signed_boundary(
-    by_dim: Sequence[Sequence[tuple[int, ...]]], d: int
+    by_dim: Sequence[Sequence[int]], d: int
 ) -> Iterator[tuple[int, int, int]]:
     """(row, col, sign) entries of the simplicial boundary from bucket d to d-1.
 
-    Signs alternate along the sorted vertex order of each face.
+    Each face drops one set bit at a time, lowest first; the sign
+    alternates over the lower set bits, that is along the increasing
+    vertex order of the face.
     """
     position = {face: p for p, face in enumerate(by_dim[d - 1])}
     for col, face in enumerate(by_dim[d]):
-        for pos in range(len(face)):
-            yield position[face[:pos] + face[pos + 1:]], col, -1 if pos % 2 else 1
+        sign = 1
+        rest = face
+        while rest:
+            low = rest & -rest
+            yield position[face ^ low], col, sign
+            sign = -sign
+            rest ^= low
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +441,7 @@ def is_simplicial_forest(D: SimplicialComplex) -> bool:
     """
     if D.dim <= 1:
         index = D.vertices.index
-        edges = (tuple(map(index, f)) for f in D.facets if len(f) == 2)
+        edges = ([index(v) for v in f] for f in D.facets if len(f) == 2)
         return _acyclic(D.n, edges)
     return _subcollections_have_leaves(D._facet_masks)
 

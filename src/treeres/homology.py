@@ -101,9 +101,16 @@ def homology_dims_of_faces(face_sets: Iterable[frozenset[int]]) -> tuple[int, ..
     """
     face_list = {frozenset(f) for f in face_sets}
     face_list.discard(frozenset())
-    if len(face_list) > FACE_GUARD:
-        raise ValueError(f"homology guard exceeded ({len(face_list)} faces)")
-    by_dim = _faces_by_dim(face_list)
+    bit = {v: 1 << i for i, v in enumerate(sorted(set().union(*face_list)))}
+    return _mask_homology([sum([bit[v] for v in f]) for f in face_list])
+
+
+def _mask_homology(face_masks: Sequence[int]) -> tuple[int, ...]:
+    """Reduced homology dimensions, indexed from degree -1, of the complex
+    whose nonempty faces are these distinct vertex bitmasks."""
+    if len(face_masks) > FACE_GUARD:
+        raise ValueError(f"homology guard exceeded ({len(face_masks)} faces)")
+    by_dim = _faces_by_dim(face_masks)
     return _homology(
         [len(bucket) for bucket in by_dim],
         (_signed_boundary(by_dim, d) for d in range(1, len(by_dim))),
@@ -201,18 +208,14 @@ def betti(I: MonomialIdeal) -> BettiTable:
         k = len(divisor_idx)
         # lcm of each subset by peeling the lowest bit.
         sub_lcm = [0] * (1 << k)
-        strict_faces: list[frozenset[int]] = []
+        strict_faces: list[int] = []  # subsets of divisor_idx as bitmasks
         for mask in range(1, 1 << k):
             low = mask & -mask
             g = gen_masks[divisor_idx[low.bit_length() - 1]]
             sub_lcm[mask] = sub_lcm[mask ^ low] | g
             if sub_lcm[mask] != top:
-                strict_faces.append(
-                    frozenset(
-                        divisor_idx[b] for b in range(k) if mask >> b & 1
-                    )
-                )
-        dims = homology_dims_of_faces(strict_faces)
+                strict_faces.append(mask)
+        dims = _mask_homology(strict_faces)
         for i in range(1, k + 2):
             pos = i - 1  # dims is indexed from degree -1
             if 0 <= pos < len(dims) and dims[pos] > 0:

@@ -77,7 +77,8 @@ class Monomial:
     exponents: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "exponents", tuple(int(e) for e in self.exponents))
+        # From a list: a generator-built tuple is shrunk, then fills another size's free list.
+        object.__setattr__(self, "exponents", tuple([int(e) for e in self.exponents]))
         if len(self.exponents) != self.vars.n:
             raise ValueError(
                 f"exponent vector of length {len(self.exponents)} over "
@@ -149,13 +150,13 @@ def divides(a: Monomial, b: Monomial) -> bool:
 def lcm(a: Monomial, b: Monomial) -> Monomial:
     """Componentwise max of exponents."""
     _check_same_vars(a, b)
-    return Monomial(a.vars, tuple(map(max, a.exponents, b.exponents)))
+    return Monomial(a.vars, tuple([*map(max, a.exponents, b.exponents)]))
 
 
 def gcd(a: Monomial, b: Monomial) -> Monomial:
     """Componentwise min of exponents."""
     _check_same_vars(a, b)
-    return Monomial(a.vars, tuple(map(min, a.exponents, b.exponents)))
+    return Monomial(a.vars, tuple([*map(min, a.exponents, b.exponents)]))
 
 
 def quotient(a: Monomial, b: Monomial) -> Monomial:
@@ -163,7 +164,7 @@ def quotient(a: Monomial, b: Monomial) -> Monomial:
     _check_same_vars(a, b)
     if not divides(b, a):
         raise ValueError(f"{b} does not divide {a}")
-    return Monomial(a.vars, tuple(x - y for x, y in zip(a.exponents, b.exponents)))
+    return Monomial(a.vars, tuple([x - y for x, y in zip(a.exponents, b.exponents)]))
 
 
 def lcm_all(monomials: Iterable[Monomial]) -> Monomial:
@@ -189,7 +190,7 @@ def exponent_masks(
     and every lcm of them.
     """
     columns = list(zip(*(m.exponents for m in monomials)))
-    levels = tuple(tuple(sorted(set(column) - {0})) for column in columns)
+    levels = tuple([tuple(sorted(set(column) - {0})) for column in columns])
     masks = [0] * len(monomials)
     offset = 0
     for column, values in zip(columns, levels):
@@ -384,7 +385,7 @@ def restrict(I: MonomialIdeal, W: Iterable[str]):
     cut = [gcd(g, w_mon) for g in I.generators]
     if any(g.is_one() for g in cut):
         return UNIT_IDEAL
-    sub_names = tuple(name for name in I.vars.names if name in wset)
+    sub_names = tuple([name for name in I.vars.names if name in wset])
     sub_vars = VariableSet(sub_names)
     keep = [I.vars.index(name) for name in sub_names]
     moved = [Monomial(sub_vars, tuple(g.exponents[i] for i in keep)) for g in cut]

@@ -166,31 +166,36 @@ def homogenize(L: LabeledComplex) -> FreeComplex:
     vertex labels.
     """
     by_dim, label = _face_labels(L)
-    modules = tuple(tuple(label[face] for face in bucket) for bucket in by_dim)
-    diffs = tuple(
-        tuple(map(Entry._make, _signed_boundary(by_dim, d)))
+    modules = tuple([tuple([label[face] for face in bucket]) for bucket in by_dim])
+    diffs = tuple([
+        tuple([*map(Entry._make, _signed_boundary(by_dim, d))])
         for d in range(1, len(by_dim))
-    )
+    ])
     return FreeComplex(L.label_vars, modules, diffs)
 
 
 def _face_labels(
     L: LabeledComplex,
-) -> tuple[list[list[tuple[int, ...]]], dict[tuple[int, ...], Monomial]]:
-    """The faces of L as sorted index tuples, bucketed by size with the
-    empty face first, and the label of each.
+) -> tuple[list[list[int]], dict[int, Monomial]]:
+    """The faces of L as vertex bitmasks, bucketed by size with the empty
+    face first, and the label of each.
 
-    A face's label is one lcm: its prefix face, one bucket down and
-    already labeled, with its last vertex.
+    Each bucket lists its faces in lexicographic order of their sorted
+    vertex indices.  A face's label is one lcm: the face without its
+    highest vertex, one bucket down and already labeled, with that vertex.
     """
     index = L.complex.vertices.index
-    by_dim = _faces_by_dim([index(v) for v in face] for face in faces(L.complex))
-    label = {(): Monomial.one(L.label_vars)}
+    by_dim = _faces_by_dim(
+        sum([1 << i for i in face])
+        for face in sorted(sorted(map(index, f)) for f in faces(L.complex))
+    )
+    label = {0: Monomial.one(L.label_vars)}
     for face in by_dim[1]:
-        label[face] = L.labels[face[0]]
+        label[face] = L.labels[face.bit_length() - 1]
     for bucket in by_dim[2:]:
         for face in bucket:
-            label[face] = lcm(label[face[:-1]], L.labels[face[-1]])
+            top = face.bit_length() - 1
+            label[face] = lcm(label[face ^ (1 << top)], L.labels[top])
     return by_dim, label
 
 
@@ -292,10 +297,11 @@ def is_minimal_support(L: LabeledComplex) -> bool:
     """
     by_dim, label = _face_labels(L)
     return not any(
-        label[face[:pos] + face[pos + 1:]] == label[face]
+        label[face ^ (1 << v)] == label[face]
         for bucket in by_dim[1:]
         for face in bucket
-        for pos in range(len(face))
+        for v in range(face.bit_length())
+        if face >> v & 1
     )
 
 

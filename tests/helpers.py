@@ -10,11 +10,12 @@ from treeres.monomial import (
     VariableSet,
     divides,
     lcm,
+    lcm_all,
     minimalize,
     parse_ideal,
     parse_monomial,
 )
-from treeres.complexes import SimplicialComplex
+from treeres.complexes import SimplicialComplex, faces
 from treeres.homology import homology_dims_of_faces
 from treeres.resolution import Frame
 
@@ -69,6 +70,44 @@ def column_fingerprint(F, degree: int = 2):
             entries = [(r, m, -s) for r, m, s in entries]
         out.append((cols[c].exponents, tuple(entries)))
     return tuple(sorted(out))
+
+
+def tuple_faces_by_dim(face_sets) -> list[list[tuple[int, ...]]]:
+    """Faces as sorted index tuples, one lexicographically sorted bucket
+    per size, the empty face () first."""
+    by_dim: list[list[tuple[int, ...]]] = [[()]]
+    for key in sorted(tuple(sorted(f)) for f in face_sets):
+        while len(by_dim) <= len(key):
+            by_dim.append([])
+        by_dim[len(key)].append(key)
+    return by_dim
+
+
+def tuple_signed_boundary(by_dim, d: int) -> list[tuple[int, int, int]]:
+    """(row, col, sign) entries of the boundary from bucket d to d-1 of
+    tuple_faces_by_dim, dropping position pos of a face with sign (-1)^pos."""
+    position = {face: p for p, face in enumerate(by_dim[d - 1])}
+    return [
+        (position[face[:pos] + face[pos + 1:]], col, -1 if pos % 2 else 1)
+        for col, face in enumerate(by_dim[d])
+        for pos in range(len(face))
+    ]
+
+
+def tuple_homogenize(L) -> tuple[tuple, tuple]:
+    """Modules and differentials of ``homogenize(L)`` through the tuple face
+    path, each face labeled by the lcm of its vertex labels."""
+    index = L.complex.vertices.index
+    by_dim = tuple_faces_by_dim([index(v) for v in f] for f in faces(L.complex))
+    one = Monomial.one(L.label_vars)
+    modules = tuple(
+        tuple(lcm_all([one, *(L.labels[i] for i in face)]) for face in bucket)
+        for bucket in by_dim
+    )
+    diffs = tuple(
+        tuple(tuple_signed_boundary(by_dim, d)) for d in range(1, len(by_dim))
+    )
+    return modules, diffs
 
 
 def frame_from_matrices(dims, matrices) -> Frame:

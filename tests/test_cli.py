@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import treeres
+from treeres import cli
 from treeres.cli import main
 from treeres.complexes import complex_from_json, complex_to_json
 from treeres.homology import betti_from_json
@@ -286,3 +287,42 @@ class TestErrors:
 
     def test_missing_file(self, capsys):
         assert main(["pd", "--input", "/nonexistent/ideal.txt"]) == 2
+
+
+class TestParserReuse:
+    def test_one_parser_serves_every_call(self, tmp_path, six_var_file, monkeypatch, capsys):
+        built = []
+        build = cli.build_parser
+
+        def counting_build():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        monkeypatch.setattr(cli, "_PARSER", None)
+        star = tmp_path / "star.txt"
+        star.write_text(STAR_IDEAL_TEXT)
+        dual_path = tmp_path / "d.json"
+        assert main(["dual", "--input", str(star), "--format", "json",
+                     "--output", str(dual_path)]) == 0
+
+        # A flag given once does not stay set for the next call.
+        assert main(["resolve", "--format", "json", "--input", six_var_file]) == 0
+        assert json.loads(capsys.readouterr().out)["minimal"] is True
+        assert main(["resolve", "--input", six_var_file]) == 0
+        assert capsys.readouterr().out.startswith("ranks: 1 4 3\n")
+
+        assert main(["tree", "--joint", "all", "--input", str(dual_path)]) == 0
+        assert capsys.readouterr().out.startswith("16 tree(s)\n")
+        assert main(["tree", "--input", str(dual_path)]) == 0
+        plain = capsys.readouterr().out
+        assert main(["tree", "--joint", "smallest", "--input", str(dual_path)]) == 0
+        assert plain == capsys.readouterr().out
+
+        # A rejected command line leaves the parser usable.
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--no-such-flag"])
+        assert exc.value.code == 2
+        assert main(["verify", "--input", six_var_file]) == 0
+        assert "pd(I)=1" in capsys.readouterr().out
+        assert len(built) == 1

@@ -25,12 +25,21 @@ from treeres.complexes import (
     subcollection,
     complex_to_json,
     complex_from_json,
+    _faces_by_dim,
+    _signed_boundary,
     _subcollections_have_leaves,
 )
 from treeres.duality import dual_facets
 from treeres.monomial import VariableSet
 
-from helpers import cx, hollow_triangle, six_var_ideal, star_ideal
+from helpers import (
+    cx,
+    hollow_triangle,
+    six_var_ideal,
+    star_ideal,
+    tuple_faces_by_dim,
+    tuple_signed_boundary,
+)
 from strategies import complexes, graphs
 
 
@@ -58,6 +67,39 @@ class TestFaces:
         names = tuple(f"x{i}" for i in range(r))
         D = full_simplex(VariableSet(names))
         assert len(faces(D)) == 2 ** r - 1
+
+
+def _unmask(mask: int) -> tuple[int, ...]:
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+class TestMaskFacePath:
+    """Face buckets and boundary entries on bitmasks, mapped back to index
+    tuples, equal those of the tuple path in helpers."""
+
+    @given(complexes(max_vertices=6), st.randoms(use_true_random=False))
+    def test_buckets_and_entries_equal_tuple_path(self, D, rng):
+        index = D.vertices.index
+        keys = sorted(tuple(sorted(map(index, f))) for f in faces(D))
+        expected = tuple_faces_by_dim(keys)
+        # Fed in lexicographic order, buckets and entries match exactly.
+        by_dim = _faces_by_dim([sum(1 << i for i in key) for key in keys])
+        assert [list(map(_unmask, bucket)) for bucket in by_dim] == expected
+        for d in range(1, len(by_dim)):
+            assert list(_signed_boundary(by_dim, d)) == tuple_signed_boundary(expected, d)
+        # Fed in any order, they match up to that order.
+        rng.shuffle(keys)
+        by_dim = _faces_by_dim([sum(1 << i for i in key) for key in keys])
+        assert [sorted(map(_unmask, bucket)) for bucket in by_dim] == expected
+        for d in range(1, len(by_dim)):
+            rows, cols = by_dim[d - 1], by_dim[d]
+            assert {
+                (_unmask(rows[r]), _unmask(cols[c]), sign)
+                for r, c, sign in _signed_boundary(by_dim, d)
+            } == {
+                (expected[d - 1][r], expected[d][c], sign)
+                for r, c, sign in tuple_signed_boundary(expected, d)
+            }
 
 
 class TestFVector:

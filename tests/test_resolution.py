@@ -41,6 +41,7 @@ from helpers import (
     printed_matrix_fingerprint,
     six_var_ideal,
     star_ideal,
+    tuple_homogenize,
 )
 from strategies import ideals, labeled_forests, nonunit_monomials, squarefree_ideals
 
@@ -289,6 +290,21 @@ class TestFaceLabels:
     @given(labeled_forests() | ideals().map(_labeled_simplex))
     def test_minimal_support_agrees_with_direct_definition(self, L):
         assert is_minimal_support(L) == _minimal_support_by_face_labels(L)
+
+
+class TestMaskFacePath:
+    """The mask face path builds the modules and differentials of the
+    tuple path that sorted, sliced and compared index tuples."""
+
+    @given(ideals())
+    def test_taylor_equals_tuple_path(self, I):
+        F = taylor(I)
+        assert (F.modules, F.differentials) == tuple_homogenize(_labeled_simplex(I))
+
+    @given(labeled_forests())
+    def test_homogenize_equals_tuple_path(self, L):
+        F = homogenize(L)
+        assert (F.modules, F.differentials) == tuple_homogenize(L)
 
 
 class TestBuildTree:
