@@ -6,6 +6,7 @@ Usage:
 """
 
 import argparse
+import sys
 import time
 
 from treeres.census import _census_reports, _tally
@@ -34,7 +35,11 @@ def main():
     args = parser.parse_args()
 
     t0 = time.perf_counter()
-    reports = _census_reports(args.max_vertices, args.workers)
+    try:
+        reports = _census_reports(args.max_vertices, args.workers)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
     per_size_table(args.max_vertices, reports)
     result = _tally(args.max_vertices, reports)
     print()

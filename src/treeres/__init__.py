@@ -2,17 +2,14 @@
 combinatorially and verified by exact-arithmetic homology oracles."""
 
 from .monomial import (
-    UNIT_IDEAL,
     Monomial,
     MonomialIdeal,
     VariableSet,
     divides,
-    gcd,
     lcm,
     minimalize,
     parse_ideal,
     polarize,
-    restrict,
 )
 from .complexes import (
     EmptyComplex,
@@ -48,7 +45,6 @@ from .resolution import (
     frame_to_graph,
     homogenize,
     is_minimal_support,
-    lcm_lattice,
     supports_resolution,
     taylor,
 )

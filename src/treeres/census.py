@@ -11,6 +11,7 @@ the CLI turns into a reproducer file.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from multiprocessing import Pool
 from typing import Iterator
@@ -255,25 +256,28 @@ def _check_euler(D: SimplicialComplex, rep: ComplexReport) -> None:
         )
 
 
-# (ranks, differentials) -> (d.d = 0, frame exact); see _frame_verdict.
-_FRAME_VERDICTS: dict[tuple, tuple[bool, bool]] = {}
-
-
 def _frame_verdict(F: FreeComplex) -> tuple[bool, bool]:
     """Whether F's differentials square to zero, and whether its frame is
-    exact (tested only once they do; False otherwise).
+    exact (tested only once they do; False otherwise)."""
+    squares = F.boundary_squares_to_zero()
+    return squares, squares and is_exact_frame(frame(F))
 
-    Both verdicts read only the ranks and the (row, col, sign) entries, so
-    they are memoized on exactly that key: every Taylor complex on q
-    generators is the augmented chain complex of the (q-1)-simplex and
-    shares one entry, while a complex with one sign changed does not.
+
+# q -> the _frame_verdict of the Taylor complex on q generators.
+_TAYLOR_VERDICTS: dict[int, tuple[bool, bool]] = {}
+
+
+def _taylor_verdict(I) -> tuple[bool, bool]:
+    """The frame verdict of taylor(I), computed for the first ideal of each q.
+
+    A Taylor row label lcm(S - {v}) divides its column label lcm(S) for every
+    ideal, so taylor(I) has the ranks C(q, i) and the (row, col, sign)
+    entries of the augmented chain complex of the (q-1)-simplex, and both
+    verdicts read nothing else.
     """
-    key = (F.ranks, F.differentials)
-    verdict = _FRAME_VERDICTS.get(key)
+    verdict = _TAYLOR_VERDICTS.get(I.q)
     if verdict is None:
-        squares = F.boundary_squares_to_zero()
-        verdict = (squares, squares and is_exact_frame(frame(F)))
-        _FRAME_VERDICTS[key] = verdict
+        verdict = _TAYLOR_VERDICTS[I.q] = _frame_verdict(taylor(I))
     return verdict
 
 
@@ -301,19 +305,15 @@ def _check_threeway(D: SimplicialComplex, I, rep: ComplexReport) -> None:
             f"quasi-forest is {rep.quasi_forest}, tree route is {tree_route}"
         )
 
-    # Taylor is always a resolution and bounds the Betti numbers.  Its
-    # frame is the (q-1)-simplex's, so its verdict is computed once per q.
-    tay = taylor(I)
-    squares, exact = _frame_verdict(tay)
+    # Taylor is always a resolution and bounds the Betti numbers by its
+    # ranks C(q, i).
+    squares, exact = _taylor_verdict(I)
     if not squares:
         rep.violations.append("taylor differential does not square to zero")
     elif not exact:
         rep.violations.append("taylor frame is not exact")
-    totals = table.totals()
-    for i, b in enumerate(totals):
-        if i >= 1 and b > len(tay.modules[i]):
-            rep.violations.append("betti numbers exceed the taylor ranks")
-            break
+    if any(b > math.comb(I.q, i) for i, b in enumerate(table.totals())):
+        rep.violations.append("betti numbers exceed the taylor ranks")
 
     if rep.quasi_forest:
         _check_built_trees(D, I, first, table, rep)
@@ -406,8 +406,10 @@ def run_census(max_vertices: int, workers: int = 1) -> CensusResult:
 
 def _census_reports(max_vertices: int, workers: int) -> list[ComplexReport]:
     """One report per census complex, in enumeration order."""
-    if max_vertices > 6:
-        raise ValueError("census guard: max_vertices <= 6")
+    if not 1 <= max_vertices <= 6:
+        raise ValueError(f"census needs 1 <= max_vertices <= 6 (got {max_vertices})")
+    if workers < 1:
+        raise ValueError(f"census needs workers >= 1 (got {workers})")
     payloads = [
         (n, masks)
         for n in range(1, max_vertices + 1)

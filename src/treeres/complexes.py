@@ -43,7 +43,7 @@ class SimplicialComplex:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "facets", tuple(frozenset(f) for f in self.facets)
+            self, "facets", tuple([frozenset(f) for f in self.facets])
         )
         if not self.facets:
             raise ValueError("a complex needs at least one facet")
@@ -93,7 +93,7 @@ class SimplicialComplex:
 
     @cached_property
     def _facet_masks(self) -> tuple[int, ...]:
-        return tuple(self._mask(f) for f in self.facets)
+        return tuple([self._mask(f) for f in self.facets])
 
     def _mask(self, vs: Iterable[str]) -> int:
         mask = 0

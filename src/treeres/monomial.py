@@ -153,12 +153,6 @@ def lcm(a: Monomial, b: Monomial) -> Monomial:
     return Monomial(a.vars, tuple([*map(max, a.exponents, b.exponents)]))
 
 
-def gcd(a: Monomial, b: Monomial) -> Monomial:
-    """Componentwise min of exponents."""
-    _check_same_vars(a, b)
-    return Monomial(a.vars, tuple([*map(min, a.exponents, b.exponents)]))
-
-
 def quotient(a: Monomial, b: Monomial) -> Monomial:
     """Exact division a / b; requires b | a."""
     _check_same_vars(a, b)
@@ -189,7 +183,7 @@ def exponent_masks(
     so the masks stay small whatever the exponents.  Exact for the inputs
     and every lcm of them.
     """
-    columns = list(zip(*(m.exponents for m in monomials)))
+    columns = list(zip(*[m.exponents for m in monomials]))
     levels = tuple([tuple(sorted(set(column) - {0})) for column in columns])
     masks = [0] * len(monomials)
     offset = 0
@@ -275,18 +269,6 @@ class MonomialIdeal:
         return "(" + ", ".join(str(g) for g in self.generators) + ")"
 
 
-class _UnitIdeal:
-    """Distinguished outcome: a restriction collapsed to the whole ring."""
-
-    __slots__ = ()
-
-    def __repr__(self):
-        return "UNIT_IDEAL"
-
-
-UNIT_IDEAL = _UnitIdeal()
-
-
 def minimalize(gens: Sequence[Monomial]) -> MonomialIdeal:
     """Keep the divisibility-minimal generators, first occurrence wins.
 
@@ -365,31 +347,6 @@ def polarize(I: MonomialIdeal) -> tuple[MonomialIdeal, dict[str, tuple[str, int]
         new_gens.append(Monomial(new_vars, tuple(exps)))
     # Polarization preserves divisibility both ways, so minimality survives.
     return MonomialIdeal(new_vars, tuple(new_gens)), varmap
-
-
-def restrict(I: MonomialIdeal, W: Iterable[str]):
-    """Generators gcd(m_i, prod of W) over the variable set cut down to W.
-
-    Returns UNIT_IDEAL when some generator is supported entirely outside W
-    (its gcd is 1, so the restriction is the whole ring).
-    """
-    if not I.is_squarefree():
-        raise ValueError("restrict needs a squarefree ideal; polarize first")
-    wset = frozenset(W)
-    if not wset:
-        raise ValueError("W must be a nonempty subset of the variables")
-    for name in wset:
-        if name not in I.vars:
-            raise ValueError(f"unknown variable {name!r} in W")
-    w_mon = Monomial.from_powers(I.vars, {name: 1 for name in wset})
-    cut = [gcd(g, w_mon) for g in I.generators]
-    if any(g.is_one() for g in cut):
-        return UNIT_IDEAL
-    sub_names = tuple([name for name in I.vars.names if name in wset])
-    sub_vars = VariableSet(sub_names)
-    keep = [I.vars.index(name) for name in sub_names]
-    moved = [Monomial(sub_vars, tuple(g.exponents[i] for i in keep)) for g in cut]
-    return minimalize(moved)
 
 
 # ---------------------------------------------------------------------------

@@ -200,7 +200,7 @@ def _face_labels(
 
 
 def _generator_vertex_names(q: int) -> VariableSet:
-    return VariableSet(tuple(f"v{i + 1}" for i in range(q)))
+    return VariableSet(tuple([f"v{i + 1}" for i in range(q)]))
 
 
 def taylor(I: MonomialIdeal) -> FreeComplex:
@@ -210,13 +210,6 @@ def taylor(I: MonomialIdeal) -> FreeComplex:
     verts = _generator_vertex_names(I.q)
     D = SimplicialComplex(verts, (frozenset(verts.names),))
     return homogenize(LabeledComplex(D, I.generators))
-
-
-def lcm_lattice(I: MonomialIdeal) -> frozenset[Monomial]:
-    """All lcms of nonempty generator subsets."""
-    if I.q > TAYLOR_GUARD:
-        raise ValueError(f"lcm lattice guard exceeded (q={I.q})")
-    return lcm_closure(I.generators)
 
 
 def supports_resolution(L: LabeledComplex) -> bool:
@@ -310,7 +303,7 @@ def _tree_complex(q: int, edges: Sequence[tuple[int, int]]) -> SimplicialComplex
     if q == 1:
         return SimplicialComplex(verts, (frozenset({verts.names[0]}),))
     facets = tuple(
-        frozenset({verts.names[a], verts.names[b]}) for a, b in edges
+        [frozenset({verts.names[a], verts.names[b]}) for a, b in edges]
     )
     return SimplicialComplex(verts, facets)
 

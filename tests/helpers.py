@@ -31,6 +31,12 @@ def star_ideal() -> MonomialIdeal:
     return parse_ideal(STAR_IDEAL_TEXT)
 
 
+def variables_ideal(q: int) -> MonomialIdeal:
+    """The ideal (x1, ..., xq) of the variables."""
+    names = [f"x{i}" for i in range(1, q + 1)]
+    return parse_ideal("vars " + " ".join(names) + "\n" + "\n".join(names) + "\n")
+
+
 def mono(vars: VariableSet, text: str) -> Monomial:
     return parse_monomial(vars, text)
 

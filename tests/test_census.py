@@ -1,8 +1,8 @@
 import pytest
+from hypothesis import given
 
 from treeres import census
 from treeres.census import (
-    _frame_verdict,
     antichain_covers,
     check_complex,
     complex_from_masks,
@@ -16,16 +16,16 @@ from treeres.complexes import (
     leaf_order,
 )
 from treeres.duality import dual_generators
-from treeres.homology import is_exact_frame, pd_ideal
-from treeres.monomial import parse_ideal
+from treeres.homology import BettiTable, betti, is_exact_frame, pd_ideal
+from treeres.monomial import Monomial, parse_ideal
 from treeres.resolution import (
-    enumerate_trees,
     frame,
     free_complex_from_json,
     free_complex_to_json,
-    homogenize,
     taylor,
 )
+
+from strategies import ideals
 
 
 class TestEnumeration:
@@ -154,6 +154,12 @@ def _failing_build_tree(D):
     raise ValueError("no tree")
 
 
+def _inflated_betti(I):
+    # Ten extra degree-1 generators: beta_1 passes the Taylor rank C(q, 1).
+    table = betti(I)
+    return BettiTable(table.vars, table.entries + ((1, Monomial.one(table.vars), 10),))
+
+
 @pytest.mark.parametrize(
     "name, replacement, masks, violation",
     [
@@ -161,10 +167,13 @@ def _failing_build_tree(D):
          "taylor differential does not square to zero"),
         ("build_tree", _failing_build_tree, (0b011, 0b110),
          "build_tree failed on a quasi-forest: no tree"),
+        ("betti", _inflated_betti, (0b011, 0b110, 0b101),
+         "betti numbers exceed the taylor ranks"),
     ],
-    ids=["taylor-squares-nonzero", "build-tree-fails"],
+    ids=["taylor-squares-nonzero", "build-tree-fails", "betti-exceeds-taylor"],
 )
 def test_recorded_violation_does_not_crash(monkeypatch, name, replacement, masks, violation):
+    monkeypatch.setattr("treeres.census._TAYLOR_VERDICTS", {})
     monkeypatch.setattr(f"treeres.census.{name}", replacement)
     rep = check_complex((3, masks))
     assert violation in rep.violations
@@ -188,49 +197,24 @@ def test_oracle_disagreement_is_recorded(monkeypatch, name, replacement, violati
     assert violation in check_complex((3, (0b011, 0b110))).violations
 
 
-def _variables_ideal(q):
-    names = [f"x{i}" for i in range(1, q + 1)]
-    return parse_ideal("vars " + " ".join(names) + "\n" + "\n".join(names) + "\n")
+def test_taylor_built_once_per_q(monkeypatch):
+    built = []
+
+    def counted(I):
+        built.append(I.q)
+        return taylor(I)
+
+    monkeypatch.setattr("treeres.census._TAYLOR_VERDICTS", {})
+    monkeypatch.setattr("treeres.census.taylor", counted)
+    assert run_census(4).violations == []
+    assert len(built) == len(set(built)) > 1
+    assert set(built) == set(census._TAYLOR_VERDICTS)
 
 
-def test_frame_memo_is_keyed_on_signs(monkeypatch):
-    # Two isolated points: the complement ideal (x2, x1) has q = 2, the q
-    # of the flipped Taylor complex.
-    masks = (0b01, 0b10)
-    assert check_complex((2, masks)).violations == []
-    honest = taylor(dual_generators(complex_from_masks(2, masks)))
-    assert (honest.ranks, honest.differentials) in census._FRAME_VERDICTS
-    monkeypatch.setattr("treeres.census.taylor", _flipped_taylor)
-    assert "taylor differential does not square to zero" in (
-        check_complex((2, masks)).violations
-    )
-
-
-def test_frame_verdict_hit_equals_fresh_computation(monkeypatch):
-    calls = []
-
-    def counted(fr):
-        calls.append(fr)
-        return is_exact_frame(fr)
-
-    monkeypatch.setattr("treeres.census._FRAME_VERDICTS", {})
-    monkeypatch.setattr("treeres.census.is_exact_frame", counted)
-    quasi_forests = [
-        (4, (0b0011, 0b0110, 0b1100)),
-        (5, (0b00111, 0b01110, 0b11100)),
-        (5, (0b00011, 0b00101, 0b01001, 0b10001)),
-        (5, (0b00111, 0b01101, 0b11001)),
-    ]
-    complexes = [taylor(_variables_ideal(q)) for q in range(1, 8)] + [
-        homogenize(T)
-        for n, masks in quasi_forests
-        for T in enumerate_trees(complex_from_masks(n, masks))
-    ]
-    assert len(complexes) > 7 + len(quasi_forests)
-    for F in complexes:
-        fresh = (F.boundary_squares_to_zero(), is_exact_frame(frame(F)))
-        census._FRAME_VERDICTS.clear()
-        del calls[:]
-        assert _frame_verdict(F) == fresh  # miss
-        assert _frame_verdict(F) == fresh  # hit
-        assert len(calls) == 1
+@given(ideals(max_gens=6))
+def test_taylor_verdict_equals_fresh_computation(I):
+    # The verdict kept for q came from the first ideal with that q; every
+    # other ideal with that q gets the verdict it would compute itself.
+    F = taylor(I)
+    fresh = (F.boundary_squares_to_zero(), is_exact_frame(frame(F)))
+    assert census._taylor_verdict(I) == fresh == (True, True)

@@ -248,6 +248,18 @@ class TestCensusCommand:
         assert "complexes on <= 3 vertices: 12" in out
         assert "violations: 0" in out
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--max-vertices", "-2"], ["--max-vertices", "0"],
+         ["--max-vertices", "2", "--workers", "0"]],
+        ids=["negative-vertices", "zero-vertices", "zero-workers"],
+    )
+    def test_bad_sizes_are_errors(self, capsys, flags):
+        assert main(["census", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: census needs")
+
 
 class TestErrors:
     def test_parse_error_exit_code(self, tmp_path, capsys):

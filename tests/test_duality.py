@@ -16,7 +16,7 @@ from treeres.duality import (
     sr_complex,
     sr_ideal,
 )
-from treeres.monomial import VariableSet, parse_ideal, restrict
+from treeres.monomial import VariableSet, parse_ideal
 
 from helpers import cx, hollow_triangle, six_var_ideal, star_ideal
 from strategies import complexes
@@ -165,8 +165,7 @@ class TestRestrictionCompatibility:
         I = six_var_ideal()
         D = dual_facets(I)
         W = ["x1", "x2", "x3", "x4"]
-        restricted = restrict(I, W)
-        # Facets of the restricted ideal's dual are the maximal F_i ∩ W.
+        # Facets of the dual restricted to W are the maximal F_i ∩ W.
         maximal = {
             f & frozenset(W)
             for f in D.facets
@@ -174,5 +173,4 @@ class TestRestrictionCompatibility:
                 (f & frozenset(W)) < (g & frozenset(W)) for g in D.facets
             )
         }
-        assert set(dual_facets(restricted).facets) == maximal
         assert set(induced(D, W).facets) == maximal

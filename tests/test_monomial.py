@@ -3,7 +3,6 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from treeres.monomial import (
-    UNIT_IDEAL,
     Monomial,
     POLARIZE_GUARD,
     MonomialIdeal,
@@ -12,7 +11,6 @@ from treeres.monomial import (
     divides,
     exponent_masks,
     format_ideal,
-    gcd,
     lcm,
     lcm_closure,
     mask_exponents,
@@ -20,7 +18,6 @@ from treeres.monomial import (
     parse_ideal,
     parse_monomial,
     polarize,
-    restrict,
 )
 
 from helpers import mono, pairwise_lcm_closure, six_var_ideal
@@ -70,36 +67,20 @@ class TestLcmGcd:
         m = mono(X6, "x1*x5^2")
         assert lcm(m, Monomial.one(X6)) == m
 
-    def test_gcd_componentwise_min(self):
-        assert gcd(mono(X6, "x1*x3*x6"), mono(X6, "x1*x2*x3*x4")) == mono(
-            X6, "x1*x3"
-        )
-
-    def test_gcd_idempotent(self):
-        m = mono(X6, "x2^2*x3")
-        assert gcd(m, m) == m
-
-    def test_gcd_disjoint_supports(self):
-        assert gcd(mono(X6, "x1"), mono(X6, "x2")).is_one()
-
     @given(monomials(), monomials())
     def test_commutative(self, a, b):
         assert lcm(a, b) == lcm(b, a)
-        assert gcd(a, b) == gcd(b, a)
 
     @given(monomials(), monomials(), monomials())
     def test_associative(self, a, b, c):
         assert lcm(lcm(a, b), c) == lcm(a, lcm(b, c))
-        assert gcd(gcd(a, b), c) == gcd(a, gcd(b, c))
 
     @given(monomials())
     def test_idempotent(self, a):
         assert lcm(a, a) == a
-        assert gcd(a, a) == a
 
     @given(monomials(), monomials())
     def test_order_relations(self, a, b):
-        assert divides(gcd(a, b), a)
         assert divides(a, lcm(a, b))
 
 
@@ -233,49 +214,6 @@ class TestPolarize:
     def test_output_squarefree(self, gens):
         P, _ = polarize(minimalize(gens))
         assert P.is_squarefree()
-
-
-class TestRestrict:
-    def test_six_var_example(self):
-        I = six_var_ideal()
-        out = restrict(I, ["x1", "x2", "x3", "x4"])
-        V = out.vars
-        assert V.names == ("x1", "x2", "x3", "x4")
-        # gcds are x1*x3, x1*x4, x1*x2*x4, x4; the last divides the middle two.
-        assert set(out.generators) == {mono(V, "x1*x3"), mono(V, "x4")}
-
-    def test_full_variable_set_is_identity(self):
-        I = six_var_ideal()
-        assert restrict(I, I.vars.names) == I
-
-    def test_unit_outcome(self):
-        I = parse_ideal("vars x1 x2 x3\nx1*x2\n")
-        assert restrict(I, ["x3"]) is UNIT_IDEAL
-
-    def test_requires_squarefree(self):
-        V = VariableSet(("x", "y"))
-        I = MonomialIdeal(V, (Monomial(V, (2, 0)),))
-        with pytest.raises(ValueError):
-            restrict(I, ["x"])
-
-    @given(squarefree_ideals(), st.data())
-    def test_nested_restriction_compatible(self, I, data):
-        w1 = data.draw(
-            st.sets(st.sampled_from(I.vars.names), min_size=1), label="W1"
-        )
-        w2 = data.draw(
-            st.sets(st.sampled_from(sorted(w1)), min_size=1), label="W2"
-        )
-        inner = restrict(I, w1)
-        direct = restrict(I, w2)
-        if inner is UNIT_IDEAL:
-            assert direct is UNIT_IDEAL
-            return
-        composite = restrict(inner, w2)
-        if composite is UNIT_IDEAL or direct is UNIT_IDEAL:
-            assert composite is UNIT_IDEAL and direct is UNIT_IDEAL
-        else:
-            assert composite.same_ideal(direct)
 
 
 class TestTextFormat:

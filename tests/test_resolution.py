@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +26,6 @@ from treeres.resolution import (
     is_minimal_support,
     labeled_complex_from_json,
     labeled_complex_to_json,
-    lcm_lattice,
     supports_resolution,
     taylor,
     tree_to_dot,
@@ -42,6 +42,7 @@ from helpers import (
     six_var_ideal,
     star_ideal,
     tuple_homogenize,
+    variables_ideal,
 )
 from strategies import ideals, labeled_forests, nonunit_monomials, squarefree_ideals
 
@@ -113,12 +114,20 @@ class TestTaylor:
                              max_gens=5))
     @settings(max_examples=30)
     def test_rank_vector_is_binomial(self, I):
-        import math
-
         F = taylor(I)
         assert F.ranks == tuple(
             math.comb(I.q, i) for i in range(I.q + 1)
         )
+
+    @given(ideals(max_gens=6))
+    def test_frame_depends_on_q_only(self, I):
+        # Every row label lcm(S - {v}) divides its column label lcm(S), so
+        # taylor(I) has the frame of the (q-1)-simplex whatever the labels.
+        F = taylor(I)
+        simplex = frame(taylor(variables_ideal(I.q)))
+        assert frame(F).dims == simplex.dims
+        assert frame(F).differentials == simplex.differentials
+        assert F.ranks == tuple([math.comb(I.q, i) for i in range(I.q + 1)])
 
     def test_frame_is_simplex_chain_complex(self):
         # Independent reconstruction of the augmented simplex boundary.
@@ -144,17 +153,17 @@ class TestTaylor:
 class TestLcmLattice:
     def test_star_ideal(self):
         I = star_ideal()
-        lattice = lcm_lattice(I)
+        lattice = lcm_closure(I.generators)
         top = mono(I.vars, "x1*x2*x3*x4")
         assert lattice == frozenset(I.generators) | {top}
 
     def test_principal(self):
         I = parse_ideal("x1*x2\n")
-        assert lcm_lattice(I) == frozenset(I.generators)
+        assert lcm_closure(I.generators) == frozenset(I.generators)
 
     def test_six_var_contains_edge_labels(self):
         I = six_var_ideal()
-        lattice = lcm_lattice(I)
+        lattice = lcm_closure(I.generators)
         for text in ("x1*x2*x4*x6", "x1*x3*x4*x6", "x1*x4*x5*x6"):
             assert mono(I.vars, text) in lattice
 

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import treeres
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -31,3 +33,11 @@ def test_census_report():
     assert proc.returncode == 0, proc.stderr
     assert "complexes on <= 4 vertices: 126 (28 up to relabeling)\n" in proc.stdout
     assert "violations: 0\n" in proc.stdout
+
+
+@pytest.mark.parametrize("flag", ["--max-vertices", "--workers"])
+def test_census_report_rejects_bad_sizes(flag):
+    proc = _run_script("census_report.py", flag, "0")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: census needs")
