@@ -83,11 +83,11 @@ def antichain_covers(n: int) -> Iterator[tuple[int, ...]]:
 
 
 def complex_from_masks(n: int, masks: tuple[int, ...]) -> SimplicialComplex:
-    vars = VariableSet(tuple(f"x{i + 1}" for i in range(n)))
-    facets = tuple(
-        frozenset(vars.names[i] for i in range(n) if m >> i & 1) for m in masks
-    )
-    return SimplicialComplex(vars, facets)
+    vars = VariableSet(tuple([f"x{i + 1}" for i in range(n)]))
+    facets = [
+        frozenset([vars.names[i] for i in range(n) if m >> i & 1]) for m in masks
+    ]
+    return SimplicialComplex(vars, tuple(facets))
 
 
 def enumerate_complexes(max_vertices: int) -> Iterator[SimplicialComplex]:

@@ -162,9 +162,18 @@ def _acyclic(n_vertices: int, edges: Iterable[tuple[int, int]]) -> bool:
     return all(sets.union(a, b) for a, b in edges)
 
 
-def _masks_by_size(n: int) -> list[int]:
+# n -> the nonempty masks over n bits, sorted by (popcount, value).
+_MASKS_BY_SIZE: dict[int, tuple[int, ...]] = {}
+
+
+def _masks_by_size(n: int) -> tuple[int, ...]:
     """The nonempty masks over n bits, sorted by (popcount, value)."""
-    return sorted(range(1, 1 << n), key=lambda m: (m.bit_count(), m))
+    masks = _MASKS_BY_SIZE.get(n)
+    if masks is None:
+        masks = _MASKS_BY_SIZE[n] = tuple(
+            sorted(range(1, 1 << n), key=lambda m: (m.bit_count(), m))
+        )
+    return masks
 
 
 def _faces_by_dim(face_masks: Iterable[int]) -> list[list[int]]:
@@ -321,19 +330,19 @@ def induced(D: SimplicialComplex, W: Iterable[str]):
     wmask = D._mask(wset)
     pieces = _maximal(m for m in (f & wmask for f in D._facet_masks) if m)
     if not pieces:
-        sub_names = tuple(n for n in D.vertices.names if n in wset)
+        sub_names = tuple([n for n in D.vertices.names if n in wset])
         return EmptyComplex(VariableSet(sub_names))
     present = 0
     for m in pieces:
         present |= m
     names = tuple(
-        n for i, n in enumerate(D.vertices.names) if present >> i & 1
+        [n for i, n in enumerate(D.vertices.names) if present >> i & 1]
     )
     new_facets = sorted(
-        (tuple(sorted(D._unmask(m), key=D.vertices.index)) for m in pieces),
+        [tuple(sorted(D._unmask(m), key=D.vertices.index)) for m in pieces]
     )
     return SimplicialComplex(
-        VariableSet(names), tuple(frozenset(f) for f in new_facets)
+        VariableSet(names), tuple([frozenset(f) for f in new_facets])
     )
 
 
@@ -345,11 +354,11 @@ def subcollection(D: SimplicialComplex, indices: Iterable[int]) -> SimplicialCom
     for i in idx:
         if not 0 <= i < D.q:
             raise ValueError(f"facet index {i} out of range")
-    chosen = tuple(D.facets[i] for i in idx)
+    chosen = tuple([D.facets[i] for i in idx])
     present: set[str] = set()
     for f in chosen:
         present |= f
-    names = tuple(n for n in D.vertices.names if n in present)
+    names = tuple([n for n in D.vertices.names if n in present])
     return SimplicialComplex(VariableSet(names), chosen)
 
 
@@ -508,7 +517,7 @@ def complex_from_json(obj: dict):
             "and 'facets' as a list of name lists"
         )
     vars = VariableSet(tuple(obj["vertices"]))
-    facets = tuple(frozenset(f) for f in obj["facets"])
+    facets = tuple([frozenset(f) for f in obj["facets"]])
     if not facets:
         return EmptyComplex(vars)
     return SimplicialComplex(vars, facets)

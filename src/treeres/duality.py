@@ -10,6 +10,7 @@ full simplex <-> void, boundary-of-simplex <-> empty.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .complexes import (
     EmptyComplex,
@@ -31,7 +32,11 @@ class ZeroIdeal:
 
 
 def _mask_monomial(vars: VariableSet, mask: int) -> Monomial:
-    return Monomial(vars, tuple(1 if mask >> i & 1 else 0 for i in range(vars.n)))
+    return Monomial(vars, tuple([mask >> i & 1 for i in range(vars.n)]))
+
+
+def _mask_names(names: tuple[str, ...], mask: int) -> list[str]:
+    return [name for i, name in enumerate(names) if mask >> i & 1]
 
 
 def _guard(n: int) -> None:
@@ -39,61 +44,79 @@ def _guard(n: int) -> None:
         raise ValueError(f"subset-lattice guard exceeded (n={n})")
 
 
-def _maximal_faces(vars: VariableSet, is_face):
-    """Complex on vars whose faces are the nonempty masks passing is_face.
+def _minimal_nonfaces(n: int, facet_masks: Iterable[int]) -> list[int]:
+    """Minimal non-faces of the complex with these facet masks over n
+    vertices, in (size, value) order.
 
-    is_face must be closed under taking subsets.  Masks are swept by
-    descending size, so the first face not inside a recorded facet is a
-    facet.
+    The faces are the submasks of the facets, the empty face included; a
+    non-face is minimal when dropping any one of its vertices leaves a face.
     """
-    _guard(vars.n)
-    n = vars.n
-    facets: list[int] = []
-    for mask in reversed(_masks_by_size(n)):
-        if is_face(mask) and not any(mask & ~f == 0 for f in facets):
-            facets.append(mask)
-    if not facets:
+    _guard(n)
+    faces = {0}
+    for f in facet_masks:
+        s = f
+        while s:
+            faces.add(s)
+            s = (s - 1) & f
+    minimal: list[int] = []
+    for mask in _masks_by_size(n):
+        if mask in faces:
+            continue
+        rest = mask
+        while rest:
+            low = rest & -rest
+            if (mask ^ low) not in faces:
+                break
+            rest ^= low
+        else:
+            minimal.append(mask)
+    return minimal
+
+
+def _complement_complex(vars: VariableSet, masks: list[int]):
+    """Complex whose facets are the complements of these masks, sorted as
+    name tuples; the full mask alone has the empty face as its complement,
+    which gives the empty complex."""
+    full = (1 << vars.n) - 1
+    if masks == [full]:
         return EmptyComplex(vars)
-    names = vars.names
-    fsets = sorted(
-        tuple(names[i] for i in range(n) if m >> i & 1) for m in facets
-    )
-    return SimplicialComplex(vars, tuple(frozenset(f) for f in fsets))
+    facets = sorted([_mask_names(vars.names, full ^ m) for m in masks])
+    return SimplicialComplex(vars, tuple([frozenset(f) for f in facets]))
 
 
 def sr_ideal(D):
     """Squarefree ideal generated by the minimal non-faces of D."""
+    vars = D.vertices
     if isinstance(D, EmptyComplex):
-        vars = D.vertices
-        gens = tuple(_mask_monomial(vars, 1 << i) for i in range(vars.n))
-        return MonomialIdeal(vars, gens)
+        gens = [_mask_monomial(vars, 1 << i) for i in range(vars.n)]
+        return MonomialIdeal(vars, tuple(gens))
     if is_full_simplex(D):
-        return ZeroIdeal(D.vertices)
-    _guard(D.n)
-    fmasks = D._facet_masks
-    minimal: list[int] = []
-    # Size-ascending sweep; supersets of a recorded non-face are skipped.
-    for mask in _masks_by_size(D.n):
-        if any(mask & ~f == 0 for f in fmasks):
-            continue  # a face
-        if any(mask & mnf == mnf for mnf in minimal):
-            continue  # contains a smaller non-face
-        minimal.append(mask)
-    gens = tuple(_mask_monomial(D.vertices, m) for m in minimal)
-    return MonomialIdeal(D.vertices, gens)
+        return ZeroIdeal(vars)
+    gens = [_mask_monomial(vars, m) for m in _minimal_nonfaces(vars.n, D._facet_masks)]
+    return MonomialIdeal(vars, tuple(gens))
 
 
 def sr_complex(I: MonomialIdeal):
-    """Complex of supports of squarefree monomials outside I."""
+    """Complex of supports of squarefree monomials outside I.
+
+    Its facets are the complements of the minimal non-faces of the complex
+    whose facets are the complements of the generator supports: a mask
+    avoids containing every support iff its complement meets every support.
+    """
     if not I.is_squarefree():
         raise ValueError("Stanley-Reisner complex needs a squarefree ideal; polarize first")
-    gmasks = [g.support_mask for g in I.generators]
-    # A face: no generator's support lies inside the mask.
-    return _maximal_faces(I.vars, lambda mask: all(g & ~mask for g in gmasks))
+    full = (1 << I.vars.n) - 1
+    cofaces = [full ^ g.support_mask for g in I.generators]
+    return _complement_complex(
+        I.vars, _minimal_nonfaces(I.vars.n, [c for c in cofaces if c])
+    )
 
 
 def alexander_dual(D):
-    """Complements of non-faces over the stored universe; an involution."""
+    """Complements of non-faces over the stored universe; an involution.
+
+    Its facets are the complements of the minimal non-faces of D.
+    """
     if isinstance(D, VoidComplex):
         return full_simplex(D.vertices)
     if isinstance(D, EmptyComplex):
@@ -101,20 +124,11 @@ def alexander_dual(D):
         if n == 1:
             return EmptyComplex(D.vertices)
         names = D.vertices.names
-        facets = tuple(
-            frozenset(names[:i] + names[i + 1:]) for i in range(n)
-        )
-        return SimplicialComplex(D.vertices, facets)
+        facets = [frozenset(names[:i] + names[i + 1:]) for i in range(n)]
+        return SimplicialComplex(D.vertices, tuple(facets))
     if is_full_simplex(D):
         return VoidComplex(D.vertices)
-    full = (1 << D.n) - 1
-    fmasks = D._facet_masks
-
-    def is_face(mask: int) -> bool:
-        # The empty face belongs to every complex here.
-        return mask == 0 or any(mask & ~f == 0 for f in fmasks)
-
-    return _maximal_faces(D.vertices, lambda mask: not is_face(full & ~mask))
+    return _complement_complex(D.vertices, _minimal_nonfaces(D.n, D._facet_masks))
 
 
 def dual_facets(I: MonomialIdeal) -> SimplicialComplex:
@@ -126,13 +140,13 @@ def dual_facets(I: MonomialIdeal) -> SimplicialComplex:
     if not I.is_squarefree():
         raise ValueError("dual facets need a squarefree ideal; polarize first")
     names = I.vars.names
+    full = (1 << I.vars.n) - 1
     facets = []
     for g in I.generators:
-        support = g.support()
-        comp = frozenset(n for n in names if n not in support)
+        comp = full ^ g.support_mask
         if not comp:
             raise ValueError(f"generator {g} uses every variable")
-        facets.append(comp)
+        facets.append(frozenset(_mask_names(names, comp)))
     return SimplicialComplex(I.vars, tuple(facets))
 
 
@@ -142,12 +156,12 @@ def dual_generators(D: SimplicialComplex) -> MonomialIdeal:
     Generator order equals facet order; complements of an antichain are an
     antichain, so the result is automatically minimal.
     """
+    full = (1 << D.n) - 1
     gens = []
-    for f in D.facets:
-        comp = {n: 1 for n in D.vertices.names if n not in f}
-        if not comp:
+    for f, mask in zip(D.facets, D._facet_masks):
+        if mask == full:
             raise ValueError(
                 f"facet {{{','.join(sorted(f))}}} equals the universe"
             )
-        gens.append(Monomial.from_powers(D.vertices, comp))
+        gens.append(_mask_monomial(D.vertices, full ^ mask))
     return MonomialIdeal(D.vertices, tuple(gens))

@@ -18,6 +18,7 @@ from .complexes import (
     EmptyComplex,
     VoidComplex,
     _faces_by_dim,
+    _is_name_list,
     _signed_boundary,
     faces,
 )
@@ -89,7 +90,7 @@ def _homology(
     for i, entries in enumerate(differentials, start=1):
         ranks.append(_rank(dims[i - 1], entries))
     ranks.append(0)
-    return tuple(dim - ranks[i] - ranks[i + 1] for i, dim in enumerate(dims))
+    return tuple([dim - ranks[i] - ranks[i + 1] for i, dim in enumerate(dims)])
 
 
 def homology_dims_of_faces(face_sets: Iterable[frozenset[int]]) -> tuple[int, ...]:
@@ -246,11 +247,13 @@ def betti_to_json(table: BettiTable) -> dict:
 
 
 def betti_from_json(obj: dict) -> BettiTable:
+    if not isinstance(obj, dict) or not _is_name_list(obj.get("vars")):
+        raise ValueError("betti JSON needs 'vars' as a list of names")
     vars = VariableSet(tuple(obj["vars"]))
-    entries = tuple(
+    entries = tuple([
         (e["i"], Monomial(vars, tuple(e["multidegree"])), e["beta"])
         for e in obj["graded"]
-    )
+    ])
     table = BettiTable(vars, entries)
     if list(table.totals()) != list(obj["total"]):
         raise ValueError("totals disagree with graded entries")

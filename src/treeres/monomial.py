@@ -77,15 +77,30 @@ class Monomial:
     exponents: tuple[int, ...]
 
     def __post_init__(self):
-        # From a list: a generator-built tuple is shrunk, then fills another size's free list.
-        object.__setattr__(self, "exponents", tuple([int(e) for e in self.exponents]))
-        if len(self.exponents) != self.vars.n:
+        exps = self.exponents
+        if type(exps) is not tuple:
+            # From a list: a generator-built tuple is shrunk, then fills another size's free list.
+            exps = tuple([*exps])
+            object.__setattr__(self, "exponents", exps)
+        if len(exps) != self.vars.n:
             raise ValueError(
-                f"exponent vector of length {len(self.exponents)} over "
-                f"{self.vars.n} variables"
+                f"exponent vector of length {len(exps)} over {self.vars.n} variables"
             )
-        if any(e < 0 for e in self.exponents):
-            raise ValueError(f"negative exponent in {self.exponents}")
+        # support_mask and _squarefree are plain attributes, not fields, so
+        # equality, hashing and repr read the exponents alone.
+        mask = 0
+        squarefree = True
+        for i, e in enumerate(exps):
+            if type(e) is not int:
+                raise ValueError(f"exponent {e!r} is not an int")
+            if e:
+                if e < 0:
+                    raise ValueError(f"negative exponent in {exps}")
+                mask |= 1 << i
+                if e > 1:
+                    squarefree = False
+        object.__setattr__(self, "support_mask", mask)
+        object.__setattr__(self, "_squarefree", squarefree)
 
     @classmethod
     def one(cls, vars: VariableSet) -> "Monomial":
@@ -106,23 +121,6 @@ class Monomial:
 
     def is_squarefree(self) -> bool:
         return self._squarefree
-
-    @cached_property
-    def _squarefree(self) -> bool:
-        return all(e <= 1 for e in self.exponents)
-
-    @cached_property
-    def support_mask(self) -> int:
-        mask = 0
-        for i, e in enumerate(self.exponents):
-            if e:
-                mask |= 1 << i
-        return mask
-
-    def support(self) -> frozenset[str]:
-        return frozenset(
-            name for name, e in zip(self.vars.names, self.exponents) if e
-        )
 
     def __str__(self) -> str:
         factors = []

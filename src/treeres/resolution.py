@@ -17,6 +17,7 @@ from .complexes import (
     SimplicialComplex,
     _DisjointSets,
     _faces_by_dim,
+    _is_name_list,
     _joint_positions,
     _signed_boundary,
     connected_components,
@@ -111,7 +112,7 @@ class FreeComplex:
 
     @property
     def ranks(self) -> tuple[int, ...]:
-        return tuple(len(m) for m in self.modules)
+        return tuple([len(m) for m in self.modules])
 
     def entry_monomial(self, i: int, e: Entry) -> Monomial:
         """The monomial of entry e of d_i: its column over its row multidegree."""
@@ -359,10 +360,8 @@ def enumerate_trees(D: SimplicialComplex) -> Iterator[LabeledComplex]:
 
     for order in all_leaf_orders(D):
         for picks in itertools.product(*_step_joints(D, order)):
-            edges = tuple(
-                (picks[i - 1], order[i]) for i in range(1, D.q)
-            )
-            key = frozenset(tuple(sorted(e)) for e in edges)
+            edges = tuple([(picks[i - 1], order[i]) for i in range(1, D.q)])
+            key = frozenset([tuple(sorted(e)) for e in edges])
             if key in seen:
                 continue
             seen.add(key)
@@ -474,15 +473,17 @@ def free_complex_to_json(F: FreeComplex) -> dict:
 
 
 def free_complex_from_json(obj: dict) -> FreeComplex:
+    if not isinstance(obj, dict) or not _is_name_list(obj.get("vars")):
+        raise ValueError("free complex JSON needs 'vars' as a list of names")
     vars = VariableSet(tuple(obj["vars"]))
-    modules = tuple(
-        tuple(Monomial(vars, tuple(exps)) for exps in module)
+    modules = tuple([
+        tuple([Monomial(vars, tuple(exps)) for exps in module])
         for module in obj["multidegrees"]
-    )
-    diffs = tuple(
-        tuple(Entry(e["row"], e["col"], e["sign"]) for e in entries)
+    ])
+    diffs = tuple([
+        tuple([Entry(e["row"], e["col"], e["sign"]) for e in entries])
         for entries in obj["differentials"]
-    )
+    ])
     F = FreeComplex(vars, modules, diffs)
     if list(F.ranks) != list(obj["ranks"]):
         raise ValueError("ranks disagree with module lists")
@@ -507,12 +508,20 @@ def labeled_complex_to_json(L: LabeledComplex) -> dict:
 
 
 def labeled_complex_from_json(obj: dict) -> LabeledComplex:
+    if not isinstance(obj, dict) or not (
+        _is_name_list(obj.get("vars"))
+        and _is_name_list(obj.get("vertices"))
+        and isinstance(obj.get("facets"), list)
+        and all(map(_is_name_list, obj["facets"]))
+    ):
+        raise ValueError(
+            "labeled complex JSON needs 'vars' and 'vertices' as lists of "
+            "names and 'facets' as a list of name lists"
+        )
     vars = VariableSet(tuple(obj["vars"]))
     verts = VariableSet(tuple(obj["vertices"]))
-    D = SimplicialComplex(verts, tuple(frozenset(f) for f in obj["facets"]))
-    labels = tuple(
-        parse_monomial(vars, obj["labels"][v]) for v in verts.names
-    )
+    D = SimplicialComplex(verts, tuple([frozenset(f) for f in obj["facets"]]))
+    labels = tuple([parse_monomial(vars, obj["labels"][v]) for v in verts.names])
     return LabeledComplex(D, labels)
 
 

@@ -15,7 +15,16 @@ from treeres.monomial import (
     parse_ideal,
     parse_monomial,
 )
-from treeres.complexes import SimplicialComplex, faces
+from treeres.complexes import (
+    EmptyComplex,
+    SimplicialComplex,
+    VoidComplex,
+    _masks_by_size,
+    faces,
+    full_simplex,
+    is_full_simplex,
+)
+from treeres.duality import ZeroIdeal
 from treeres.homology import homology_dims_of_faces
 from treeres.resolution import Frame
 
@@ -239,3 +248,72 @@ def monomial_betti_entries(I: MonomialIdeal) -> tuple:
                 entries.append((i, m, dims[pos]))
     entries.sort(key=lambda t: (t[0], t[1].degree(), t[1].exponents))
     return tuple(entries)
+
+
+def _mask_monomial(vars: VariableSet, mask: int) -> Monomial:
+    return Monomial(vars, tuple([mask >> i & 1 for i in range(vars.n)]))
+
+
+def sweep_sr_ideal(D):
+    """``sr_ideal`` as a size-ascending sweep: a mask is a minimal non-face
+    when no facet contains it and no recorded non-face lies inside it."""
+    vars = D.vertices
+    if isinstance(D, EmptyComplex):
+        return MonomialIdeal(vars, tuple([_mask_monomial(vars, 1 << i) for i in range(vars.n)]))
+    if is_full_simplex(D):
+        return ZeroIdeal(vars)
+    fmasks = D._facet_masks
+    minimal: list[int] = []
+    for mask in _masks_by_size(D.n):
+        if any(mask & ~f == 0 for f in fmasks):
+            continue
+        if any(mask & mnf == mnf for mnf in minimal):
+            continue
+        minimal.append(mask)
+    return MonomialIdeal(vars, tuple([_mask_monomial(vars, m) for m in minimal]))
+
+
+def maximal_faces(vars: VariableSet, is_face):
+    """Complex on vars whose faces are the nonempty masks passing is_face
+    (closed under subsets), from a size-descending sweep: the first face
+    inside no recorded facet is a facet.  Facets sorted as name tuples."""
+    n = vars.n
+    facets: list[int] = []
+    for mask in reversed(_masks_by_size(n)):
+        if is_face(mask) and not any(mask & ~f == 0 for f in facets):
+            facets.append(mask)
+    if not facets:
+        return EmptyComplex(vars)
+    names = vars.names
+    fsets = sorted([tuple([names[i] for i in range(n) if m >> i & 1]) for m in facets])
+    return SimplicialComplex(vars, tuple([frozenset(f) for f in fsets]))
+
+
+def sweep_sr_complex(I: MonomialIdeal):
+    """``sr_complex`` by ``maximal_faces``: a face contains no generator support."""
+    gmasks = [g.support_mask for g in I.generators]
+    return maximal_faces(I.vars, lambda mask: all(g & ~mask for g in gmasks))
+
+
+def sweep_alexander_dual(D):
+    """``alexander_dual`` by ``maximal_faces``: a face is a mask whose
+    complement is a non-face of D."""
+    if isinstance(D, VoidComplex):
+        return full_simplex(D.vertices)
+    if isinstance(D, EmptyComplex):
+        n = D.vertices.n
+        if n == 1:
+            return EmptyComplex(D.vertices)
+        names = D.vertices.names
+        return SimplicialComplex(
+            D.vertices, tuple([frozenset(names[:i] + names[i + 1:]) for i in range(n)])
+        )
+    if is_full_simplex(D):
+        return VoidComplex(D.vertices)
+    full = (1 << D.n) - 1
+    fmasks = D._facet_masks
+
+    def is_face(mask: int) -> bool:
+        return mask == 0 or any(mask & ~f == 0 for f in fmasks)
+
+    return maximal_faces(D.vertices, lambda mask: not is_face(full & ~mask))

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given
 
+from treeres.census import enumerate_complexes
 from treeres.complexes import (
     EmptyComplex,
     SimplicialComplex,
@@ -16,10 +17,20 @@ from treeres.duality import (
     sr_complex,
     sr_ideal,
 )
-from treeres.monomial import VariableSet, parse_ideal
+from treeres.monomial import Monomial, MonomialIdeal, VariableSet, parse_ideal
 
-from helpers import cx, hollow_triangle, six_var_ideal, star_ideal
-from strategies import complexes
+from helpers import (
+    cx,
+    hollow_triangle,
+    six_var_ideal,
+    star_ideal,
+    sweep_alexander_dual,
+    sweep_sr_complex,
+    sweep_sr_ideal,
+)
+from strategies import complexes, squarefree_ideals
+
+V5 = VariableSet(tuple([f"x{i}" for i in range(1, 6)]))
 
 
 class TestStanleyReisnerIdeal:
@@ -73,6 +84,26 @@ class TestStanleyReisnerComplex:
             return
         assert sr_complex(I) == D
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_product_of_all_variables_gives_boundary(self, n):
+        V = VariableSet(tuple([f"x{i}" for i in range(1, n + 1)]))
+        D = sr_complex(MonomialIdeal(V, (Monomial(V, (1,) * n),)))
+        assert D == cx(V.names, [set(V.names) - {v} for v in V.names])
+
+    def test_single_variable_gives_empty_complex(self):
+        V = VariableSet(("x1",))
+        D = sr_complex(MonomialIdeal(V, (Monomial(V, (1,)),)))
+        assert D == EmptyComplex(V)
+
+    @given(squarefree_ideals(V5, max_gens=6))
+    def test_matches_sweep_on_squarefree_ideals(self, I):
+        D = sr_complex(I)
+        expected = sweep_sr_complex(I)
+        assert type(D) is type(expected) and D.vertices == expected.vertices
+        if isinstance(D, SimplicialComplex):
+            assert D.facets == expected.facets
+        assert sr_ideal(D).same_ideal(I)
+
 
 class TestAlexanderDual:
     def test_involution_on_samples(self):
@@ -98,6 +129,54 @@ class TestAlexanderDual:
     @given(complexes(max_vertices=5))
     def test_involution(self, D):
         assert alexander_dual(alexander_dual(D)) == D
+
+
+def _same_in_order(got, expected) -> bool:
+    """Equal values, with generators and facets in the same order."""
+    if type(got) is not type(expected) or got != expected:
+        return False
+    if isinstance(got, MonomialIdeal):
+        return got.generators == expected.generators
+    if isinstance(got, SimplicialComplex):
+        return got.vertices == expected.vertices and got.facets == expected.facets
+    return True
+
+
+class TestSweepOracles:
+    """The minimal-non-face routine against the seed's face sweeps, in
+    generator and facet order."""
+
+    def test_every_complex_up_to_five_vertices(self):
+        count = 0
+        for D in enumerate_complexes(5):
+            assert _same_in_order(alexander_dual(D), sweep_alexander_dual(D)), D
+            I = sr_ideal(D)
+            assert _same_in_order(I, sweep_sr_ideal(D)), D
+            if not isinstance(I, ZeroIdeal):
+                assert _same_in_order(sr_complex(I), sweep_sr_complex(I)), I
+            count += 1
+        assert count == 7020
+
+    @given(complexes(max_vertices=5, ambient=True))
+    def test_complexes_with_unused_vertices(self, D):
+        dual = alexander_dual(D)
+        assert _same_in_order(dual, sweep_alexander_dual(D))
+        for E in (D, dual):
+            if isinstance(E, VoidComplex):
+                continue
+            I = sr_ideal(E)
+            assert _same_in_order(I, sweep_sr_ideal(E))
+            if not isinstance(I, ZeroIdeal):
+                assert _same_in_order(sr_complex(I), sweep_sr_complex(I))
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_empty_and_void(self, n):
+        V = VariableSet(tuple([f"x{i}" for i in range(1, n + 1)]))
+        for E in (EmptyComplex(V), VoidComplex(V)):
+            assert _same_in_order(alexander_dual(E), sweep_alexander_dual(E))
+        I = sr_ideal(EmptyComplex(V))
+        assert _same_in_order(I, sweep_sr_ideal(EmptyComplex(V)))
+        assert _same_in_order(sr_complex(I), sweep_sr_complex(I))
 
 
 class TestComplementCorrespondence:

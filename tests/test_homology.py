@@ -357,6 +357,25 @@ class TestBettiTableJson:
         with pytest.raises(ValueError):
             betti_from_json(payload)
 
+    @pytest.mark.parametrize(
+        "vars", ["xy", ["x", 1], None], ids=["string", "non-name", "null"]
+    )
+    def test_vars_not_a_name_list_rejected(self, vars):
+        payload = betti_to_json(betti(parse_ideal("vars x y\nx*y\n")))
+        payload["vars"] = vars
+        with pytest.raises(ValueError, match="list of names"):
+            betti_from_json(payload)
+
+    @pytest.mark.parametrize(
+        "degree", [[1.9, 0], [1.0, 1.0], ["1", "1"], [True, True]],
+        ids=["fraction", "integral-float", "str", "bool"],
+    )
+    def test_multidegree_not_ints_rejected(self, degree):
+        payload = betti_to_json(betti(parse_ideal("vars x y\nx*y\n")))
+        payload["graded"][1]["multidegree"] = degree
+        with pytest.raises(ValueError, match="not an int"):
+            betti_from_json(payload)
+
 
 class TestPolarizationPreservesPd:
     def test_cube(self):

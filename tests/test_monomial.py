@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -49,6 +51,37 @@ class TestDivides:
     def test_mismatched_variable_sets(self):
         with pytest.raises(ValueError):
             divides(mono(X6, "x1"), Monomial(XYZ, (1, 0, 0)))
+
+
+class TestMonomialConstruction:
+    def test_fields_are_vars_and_exponents(self):
+        assert [f.name for f in dataclasses.fields(Monomial)] == ["vars", "exponents"]
+
+    def test_support_attributes_are_set_at_construction(self):
+        m = Monomial(X6, [1, 0, 2, 0, 0, 1])
+        assert m.exponents == (1, 0, 2, 0, 0, 1)
+        assert m.support_mask == 0b100101 and not m.is_squarefree()
+        assert Monomial(X6, (1, 0, 1, 0, 0, 1)).is_squarefree()
+
+    def test_repr_eq_and_hash_ignore_support_attributes(self):
+        a, b = mono(X6, "x1*x3"), mono(X6, "x1*x3")
+        object.__setattr__(b, "support_mask", 0)
+        object.__setattr__(b, "_squarefree", False)
+        assert a == b and hash(a) == hash(b) == hash((X6, (1, 0, 1, 0, 0, 0)))
+        assert repr(a) == repr(b) == f"Monomial(vars={X6!r}, exponents=(1, 0, 1, 0, 0, 0))"
+
+    @pytest.mark.parametrize(
+        "exps",
+        [(1.7, 0.2), (1.0, 0), ("1", 0), (True, 0), (None, 0)],
+        ids=["fraction", "integral-float", "str", "bool", "none"],
+    )
+    def test_rejects_exponents_that_are_not_ints(self, exps):
+        with pytest.raises(ValueError, match="not an int"):
+            Monomial(VariableSet(("x", "y")), exps)
+
+    def test_rejects_negative_exponent(self):
+        with pytest.raises(ValueError, match="negative"):
+            Monomial(VariableSet(("x", "y")), (1, -1))
 
 
 class TestLcmGcd:

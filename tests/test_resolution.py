@@ -499,9 +499,41 @@ class TestSerialization:
         with pytest.raises(ValueError, match="does not divide"):
             FreeComplex(V, ((one,), (x1,), (x2,)), ((entry,), (entry,)))
 
+    @pytest.mark.parametrize(
+        "vars", ["x1x2", ["x1", 2], None], ids=["string", "non-name", "null"]
+    )
+    def test_free_complex_vars_not_a_name_list_rejected(self, vars):
+        payload = free_complex_to_json(taylor(parse_ideal("vars x1 x2\nx1\nx2\n")))
+        payload["vars"] = vars
+        with pytest.raises(ValueError, match="list of names"):
+            free_complex_from_json(payload)
+
+    @pytest.mark.parametrize(
+        "degree", [[1.9, 0], [1.0, 0], ["1", 0], [True, 0]],
+        ids=["fraction", "integral-float", "str", "bool"],
+    )
+    def test_free_complex_multidegree_not_ints_rejected(self, degree):
+        payload = free_complex_to_json(taylor(parse_ideal("vars x1 x2\nx1\nx2\n")))
+        payload["multidegrees"][1][0] = degree
+        with pytest.raises(ValueError, match="not an int"):
+            free_complex_from_json(payload)
+
     def test_labeled_complex_round_trip(self):
         T = build_tree(dual_facets(six_var_ideal()))
         assert labeled_complex_from_json(labeled_complex_to_json(T)) == T
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("vars", "x1x2"), ("vars", [1]), ("vertices", "v1v2"), ("vertices", None),
+         ("facets", "v1v2"), ("facets", [["v1", 2]])],
+        ids=["vars-string", "vars-non-name", "vertices-string", "vertices-null",
+             "facets-string", "facets-non-name"],
+    )
+    def test_labeled_complex_name_lists_checked(self, key, value):
+        payload = labeled_complex_to_json(build_tree(dual_facets(six_var_ideal())))
+        payload[key] = value
+        with pytest.raises(ValueError, match="lists of names"):
+            labeled_complex_from_json(payload)
 
     def test_dot_output(self):
         T = build_tree(dual_facets(six_var_ideal()))

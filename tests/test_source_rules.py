@@ -1,0 +1,22 @@
+"""Source rules the package keeps, checked on its syntax tree."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "treeres"
+
+
+def test_no_tuple_built_from_a_generator():
+    # CPython 3.11 shrinks a generator-built tuple after allocating it, so
+    # it is freed to another size's free list; build from a list instead.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "tuple"
+        and node.args
+        and isinstance(node.args[0], ast.GeneratorExp)
+    ]
+    assert found == []
