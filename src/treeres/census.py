@@ -10,7 +10,6 @@ the CLI turns into a reproducer file.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from multiprocessing import Pool
@@ -18,10 +17,11 @@ from typing import Iterator
 
 from .complexes import (
     SimplicialComplex,
-    _DisjointSets,
     _acyclic,
+    _mask_names,
     _masks_by_size,
     _subcollections_have_leaves,
+    _vertex_components,
     f_vector,
     is_connected,
     is_full_simplex,
@@ -84,9 +84,7 @@ def antichain_covers(n: int) -> Iterator[tuple[int, ...]]:
 
 def complex_from_masks(n: int, masks: tuple[int, ...]) -> SimplicialComplex:
     vars = VariableSet(tuple([f"x{i + 1}" for i in range(n)]))
-    facets = [
-        frozenset([vars.names[i] for i in range(n) if m >> i & 1]) for m in masks
-    ]
+    facets = [frozenset(_mask_names(vars.names, m)) for m in masks]
     return SimplicialComplex(vars, tuple(facets))
 
 
@@ -104,7 +102,10 @@ def _permuted_masks(n: int) -> list[list[int]]:
     tables = _PERMUTED_MASKS.get(n)
     if tables is None:
         tables = _PERMUTED_MASKS[n] = []
-        for perm in itertools.permutations(range(n)):
+        perms: list[list[int]] = [[]]
+        for k in range(n):
+            perms = [p[:i] + [k] + p[i:] for p in perms for i in range(k + 1)]
+        for perm in perms:
             image = [0] * (1 << n)
             for m in range(1, 1 << n):
                 low = m & -m
@@ -144,32 +145,21 @@ def _degree_filtration_is_spanning(tree_lc) -> bool:
     the complete generator graph (equal component partitions)."""
     labels = tree_lc.labels
     q = len(labels)
-    D = tree_lc.complex
-    idx = {v: i for i, v in enumerate(D.vertices.names)}
-    tree_edges = [
-        tuple(sorted(idx[v] for v in f)) for f in D.facets if len(f) == 2
-    ]
-    vertex_degree = [m.degree() for m in labels]
-    # A pair's lcm degree is at least both vertex degrees, so it alone
-    # decides whether the edge lies in a degree slice.
+    tree_edges = [m for m in tree_lc.complex._facet_masks if m.bit_count() == 2]
+    # Edges as vertex-pair masks.  A pair's lcm degree is at least both
+    # vertex degrees, so it alone decides whether the edge lies in a degree
+    # slice, and a vertex outside the slice is a singleton of both
+    # partitions: comparing partitions of every vertex at each pair degree
+    # compares the slices.
     pair_degree = {
-        (i, j): lcm(labels[i], labels[j]).degree()
+        1 << i | 1 << j: lcm(labels[i], labels[j]).degree()
         for i in range(q)
         for j in range(i + 1, q)
     }
-    degrees = sorted(set(vertex_degree) | set(pair_degree.values()))
-
-    def components(edges, verts):
-        sets = _DisjointSets(q)
-        for a, b in edges:
-            sets.union(a, b)
-        return {frozenset(g) for g in sets.groups(verts)}
-
-    for d in degrees:
-        verts = {i for i in range(q) if vertex_degree[i] <= d}
+    for d in sorted(set(pair_degree.values())):
         k_edges = [e for e, deg in pair_degree.items() if deg <= d]
         t_edges = [e for e in tree_edges if pair_degree[e] <= d]
-        if components(k_edges, verts) != components(t_edges, verts):
+        if _vertex_components(q, k_edges) != _vertex_components(q, t_edges):
             return False
     return True
 

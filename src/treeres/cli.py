@@ -426,7 +426,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, TypeError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, TypeError, OSError, KeyError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

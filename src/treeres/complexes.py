@@ -6,13 +6,13 @@ vertex set of the complex itself is ``used_vertices``.  Facet order is
 significant because leaf orders are orders on the facet list; equality and
 hashing use the canonical (sorted) form instead.
 
-The leaf machinery runs on integer bitmasks internally; the public API
-works with frozensets of vertex names.
+Faces, components and the leaf machinery run on vertex bitmasks here and
+only here: bit i is universe vertex i.  The public API works with
+frozensets of vertex names.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -102,9 +102,7 @@ class SimplicialComplex:
         return mask
 
     def _unmask(self, mask: int) -> frozenset[str]:
-        return frozenset(
-            self.vertices.names[i] for i in range(self.n) if mask >> i & 1
-        )
+        return frozenset(_mask_names(self.vertices.names, mask))
 
     def __repr__(self):
         facets = ", ".join(
@@ -123,9 +121,14 @@ def is_full_simplex(D: SimplicialComplex) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Shared primitives: union-find, masks by size, and faces bucketed for
-# boundary matrices.
+# Shared primitives: vertex bitmasks, union-find, the submask sweep, masks
+# by size, and faces bucketed for boundary matrices.
 # ---------------------------------------------------------------------------
+
+def _mask_names(names: Sequence[str], mask: int) -> list[str]:
+    """The names whose positions are set in mask, in order."""
+    return [name for i, name in enumerate(names) if mask >> i & 1]
+
 
 class _DisjointSets:
     """Union-find over range(n) with path halving."""
@@ -156,10 +159,55 @@ class _DisjointSets:
         return list(out.values())
 
 
+def _forest_edges(n: int, edges: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The edges, in order, that each join two components of the graph on
+    range(n) built from the edges before them (Kruskal's picks)."""
+    sets = _DisjointSets(n)
+    return [(a, b) for a, b in edges if sets.union(a, b)]
+
+
 def _acyclic(n_vertices: int, edges: Iterable[tuple[int, int]]) -> bool:
     """The graph on range(n_vertices) with these edges has no cycle."""
-    sets = _DisjointSets(n_vertices)
-    return all(sets.union(a, b) for a, b in edges)
+    edges = list(edges)
+    return len(_forest_edges(n_vertices, edges)) == len(edges)
+
+
+def _vertex_components(n: int, facet_masks: Iterable[int]) -> list[int]:
+    """Components of the complex with these facet masks over range(n), as
+    vertex masks in order of smallest vertex; a vertex in no facet is a
+    singleton.  Each facet joins its lowest vertex to its others."""
+    sets = _DisjointSets(n)
+    for f in facet_masks:
+        first = (f & -f).bit_length() - 1
+        rest = f & (f - 1)
+        while rest:
+            low = rest & -rest
+            sets.union(first, low.bit_length() - 1)
+            rest ^= low
+    return [sum([1 << v for v in group]) for group in sets.groups(range(n))]
+
+
+def _submasks(facet_masks: Iterable[int]) -> set[int]:
+    """Every nonzero submask of the facet masks: the nonempty faces."""
+    out: set[int] = set()
+    for f in facet_masks:
+        s = f
+        while s:
+            out.add(s)
+            s = (s - 1) & f
+    return out
+
+
+def _face_masks(D: SimplicialComplex) -> set[int]:
+    """The nonempty faces of D as vertex bitmasks; refuses past
+    2^SUBSET_GUARD facet subsets in total."""
+    masks = D._facet_masks
+    count, limit = sum([1 << m.bit_count() for m in masks]), 1 << SUBSET_GUARD
+    if count > limit:
+        raise ValueError(
+            f"face enumeration guard exceeded ({count} facet subsets, limit {limit})"
+        )
+    return _submasks(masks)
 
 
 # n -> the nonempty masks over n bits, sorted by (popcount, value).
@@ -295,23 +343,13 @@ def _all_leaf_orders(masks: Sequence[int]) -> Iterator[tuple[int, ...]]:
 
 def faces(D: SimplicialComplex) -> frozenset[frozenset[str]]:
     """All nonempty faces; refuses past 2^SUBSET_GUARD facet subsets in total."""
-    count, limit = sum(1 << len(f) for f in D.facets), 1 << SUBSET_GUARD
-    if count > limit:
-        raise ValueError(
-            f"face enumeration guard exceeded ({count} facet subsets, limit {limit})"
-        )
-    out: set[frozenset[str]] = set()
-    for f in D.facets:
-        fl = sorted(f)
-        for r in range(1, len(fl) + 1):
-            out.update(frozenset(c) for c in itertools.combinations(fl, r))
-    return frozenset(out)
+    return frozenset([D._unmask(m) for m in _face_masks(D)])
 
 
 def f_vector(D: SimplicialComplex) -> tuple[int, ...]:
     counts = [0] * (D.dim + 1)
-    for face in faces(D):
-        counts[len(face) - 1] += 1
+    for m in _face_masks(D):
+        counts[m.bit_count() - 1] += 1
     return tuple(counts)
 
 
@@ -335,14 +373,11 @@ def induced(D: SimplicialComplex, W: Iterable[str]):
     present = 0
     for m in pieces:
         present |= m
-    names = tuple(
-        [n for i, n in enumerate(D.vertices.names) if present >> i & 1]
-    )
-    new_facets = sorted(
-        [tuple(sorted(D._unmask(m), key=D.vertices.index)) for m in pieces]
-    )
+    names = D.vertices.names
+    new_facets = sorted([_mask_names(names, m) for m in pieces])
     return SimplicialComplex(
-        VariableSet(names), tuple([frozenset(f) for f in new_facets])
+        VariableSet(tuple(_mask_names(names, present))),
+        tuple([frozenset(f) for f in new_facets]),
     )
 
 
@@ -468,21 +503,9 @@ def _subcollections_have_leaves(masks: Sequence[int]) -> bool:
 
 
 def connected_components(D: SimplicialComplex) -> tuple[frozenset[str], ...]:
-    """Partition of the universe; unused ambient vertices are singletons."""
-    sets = _DisjointSets(D.q)
-    for i in range(D.q):
-        for j in range(i + 1, D.q):
-            if D._facet_masks[i] & D._facet_masks[j]:
-                sets.union(i, j)
-    parts = [
-        frozenset().union(*(D.facets[i] for i in group))
-        for group in sets.groups(range(D.q))
-    ]
-    for name in D.vertices.names:
-        if name not in D.used_vertices:
-            parts.append(frozenset({name}))
-    parts.sort(key=lambda p: min(D.vertices.index(v) for v in p))
-    return tuple(parts)
+    """Partition of the universe in order of smallest vertex; unused
+    ambient vertices are singletons."""
+    return tuple([D._unmask(c) for c in _vertex_components(D.n, D._facet_masks)])
 
 
 def is_connected(D: SimplicialComplex) -> bool:

@@ -17,7 +17,9 @@ from .complexes import (
     SimplicialComplex,
     SUBSET_GUARD,
     VoidComplex,
+    _mask_names,
     _masks_by_size,
+    _submasks,
     full_simplex,
     is_full_simplex,
 )
@@ -35,10 +37,6 @@ def _mask_monomial(vars: VariableSet, mask: int) -> Monomial:
     return Monomial(vars, tuple([mask >> i & 1 for i in range(vars.n)]))
 
 
-def _mask_names(names: tuple[str, ...], mask: int) -> list[str]:
-    return [name for i, name in enumerate(names) if mask >> i & 1]
-
-
 def _guard(n: int) -> None:
     if n > SUBSET_GUARD:
         raise ValueError(f"subset-lattice guard exceeded (n={n})")
@@ -52,12 +50,7 @@ def _minimal_nonfaces(n: int, facet_masks: Iterable[int]) -> list[int]:
     non-face is minimal when dropping any one of its vertices leaves a face.
     """
     _guard(n)
-    faces = {0}
-    for f in facet_masks:
-        s = f
-        while s:
-            faces.add(s)
-            s = (s - 1) & f
+    faces = _submasks(facet_masks) | {0}
     minimal: list[int] = []
     for mask in _masks_by_size(n):
         if mask in faces:

@@ -12,15 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .complexes import (
     EmptyComplex,
     VoidComplex,
+    _face_masks,
     _faces_by_dim,
     _is_name_list,
     _signed_boundary,
-    faces,
 )
 from .monomial import Monomial, MonomialIdeal, VariableSet, exponent_masks, lcm_closure
 from .resolution import Frame, _squares_to_zero
@@ -93,22 +93,10 @@ def _homology(
     return tuple([dim - ranks[i] - ranks[i + 1] for i, dim in enumerate(dims)])
 
 
-def homology_dims_of_faces(face_sets: Iterable[frozenset[int]]) -> tuple[int, ...]:
-    """Reduced homology dimensions, indexed from degree -1.
-
-    The input lists the nonempty faces; the empty face always sits in
-    degree -1 (listing it changes nothing), so an empty input is the
-    complex with only the empty face and reports a single 1 there.
-    """
-    face_list = {frozenset(f) for f in face_sets}
-    face_list.discard(frozenset())
-    bit = {v: 1 << i for i, v in enumerate(sorted(set().union(*face_list)))}
-    return _mask_homology([sum([bit[v] for v in f]) for f in face_list])
-
-
-def _mask_homology(face_masks: Sequence[int]) -> tuple[int, ...]:
+def _mask_homology(face_masks: Collection[int]) -> tuple[int, ...]:
     """Reduced homology dimensions, indexed from degree -1, of the complex
-    whose nonempty faces are these distinct vertex bitmasks."""
+    whose nonempty faces are these distinct vertex bitmasks; no faces at all
+    is the complex with only the empty face, a single 1 in degree -1."""
     if len(face_masks) > FACE_GUARD:
         raise ValueError(f"homology guard exceeded ({len(face_masks)} faces)")
     by_dim = _faces_by_dim(face_masks)
@@ -128,10 +116,7 @@ def reduced_homology_dims(D) -> tuple[int, ...]:
         return ()
     if isinstance(D, EmptyComplex):
         return (1,)
-    index = D.vertices.index
-    return homology_dims_of_faces(
-        frozenset(index(v) for v in f) for f in faces(D)
-    )
+    return _mask_homology(_face_masks(D))
 
 
 # ---------------------------------------------------------------------------

@@ -9,20 +9,18 @@ and column permutation and a global sign per column.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .complexes import (
     SimplicialComplex,
-    _DisjointSets,
+    _face_masks,
     _faces_by_dim,
+    _forest_edges,
     _is_name_list,
     _joint_positions,
     _signed_boundary,
-    connected_components,
-    faces,
-    induced,
+    _vertex_components,
     is_leaf_order,
     is_simplicial_forest,
     leaf_order,
@@ -182,14 +180,15 @@ def _face_labels(
     face first, and the label of each.
 
     Each bucket lists its faces in lexicographic order of their sorted
-    vertex indices.  A face's label is one lcm: the face without its
-    highest vertex, one bucket down and already labeled, with that vertex.
+    vertex indices: the key spells bit i as character i, so of two faces
+    of one size the one holding the lowest vertex they differ in sorts
+    first.  A face's label is one lcm: the face without its highest
+    vertex, one bucket down and already labeled, with that vertex.
     """
-    index = L.complex.vertices.index
-    by_dim = _faces_by_dim(
-        sum([1 << i for i in face])
-        for face in sorted(sorted(map(index, f)) for f in faces(L.complex))
-    )
+    n = L.complex.n
+    by_dim = _faces_by_dim(sorted(
+        _face_masks(L.complex), key=lambda m: f"{m:0{n}b}"[::-1], reverse=True
+    ))
     label = {0: Monomial.one(L.label_vars)}
     for face in by_dim[1]:
         label[face] = L.labels[face.bit_length() - 1]
@@ -270,15 +269,21 @@ def _divisor_induced_connected(
     L: LabeledComplex, multidegrees: Iterable[Monomial]
 ) -> bool:
     """For each m, the subcomplex induced on the vertices whose labels
-    divide m is connected or empty."""
+    divide m is connected or empty.
+
+    Labels and multidegrees share ``exponent_masks``, so divisibility is
+    mask inclusion.  The induced facets are the facet masks cut down to the
+    dividing vertices that lie in a facet, and its components are the
+    ``_vertex_components`` that meet those vertices.
+    """
     D = L.complex
-    names = D.vertices.names
-    for m in multidegrees:
-        W = [v for v, lab in zip(names, L.labels) if divides(lab, m)]
-        if not W:
-            continue
-        sub = induced(D, W)
-        if isinstance(sub, SimplicialComplex) and len(connected_components(sub)) > 1:
+    used = D._mask(D.used_vertices)
+    masks, _ = exponent_masks([*L.labels, *multidegrees])
+    labels = masks[:D.n]
+    for top in masks[D.n:]:
+        W = used & sum([1 << v for v, lab in enumerate(labels) if lab & ~top == 0])
+        components = _vertex_components(D.n, [f & W for f in D._facet_masks])
+        if sum([1 for c in components if c & W]) > 1:
             return False
     return True
 
@@ -359,8 +364,10 @@ def enumerate_trees(D: SimplicialComplex) -> Iterator[LabeledComplex]:
     seen: set[frozenset[tuple[int, int]]] = set()
 
     for order in all_leaf_orders(D):
-        for picks in itertools.product(*_step_joints(D, order)):
-            edges = tuple([(picks[i - 1], order[i]) for i in range(1, D.q)])
+        trees: list[tuple[tuple[int, int], ...]] = [()]  # edges of each tree
+        for i, joints in enumerate(_step_joints(D, order), start=1):
+            trees = [(*edges, (j, order[i])) for edges in trees for j in joints]
+        for edges in trees:
             key = frozenset([tuple(sorted(e)) for e in edges])
             if key in seen:
                 continue
@@ -387,8 +394,7 @@ def floystad_tree(I: MonomialIdeal) -> LabeledComplex:
         ((lcm(gens[i], gens[j]).degree(), i, j)
          for i in range(q) for j in range(i + 1, q)),
     )
-    sets = _DisjointSets(q)
-    edges = [(i, j) for _, i, j in candidates if sets.union(i, j)]
+    edges = _forest_edges(q, [(i, j) for _, i, j in candidates])
     if len(edges) != q - 1:
         raise ValueError("spanning construction failed; precondition violated")
     return LabeledComplex(_tree_complex(q, edges), gens)
@@ -513,10 +519,13 @@ def labeled_complex_from_json(obj: dict) -> LabeledComplex:
         and _is_name_list(obj.get("vertices"))
         and isinstance(obj.get("facets"), list)
         and all(map(_is_name_list, obj["facets"]))
+        and isinstance(obj.get("labels"), dict)
+        and all(isinstance(obj["labels"].get(v), str) for v in obj["vertices"])
     ):
         raise ValueError(
             "labeled complex JSON needs 'vars' and 'vertices' as lists of "
-            "names and 'facets' as a list of name lists"
+            "names, 'facets' as a list of name lists and 'labels' mapping "
+            "each vertex to a monomial"
         )
     vars = VariableSet(tuple(obj["vars"]))
     verts = VariableSet(tuple(obj["vertices"]))

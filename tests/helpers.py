@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from treeres.monomial import (
@@ -19,13 +20,15 @@ from treeres.complexes import (
     EmptyComplex,
     SimplicialComplex,
     VoidComplex,
+    _DisjointSets,
     _masks_by_size,
     faces,
     full_simplex,
+    induced,
     is_full_simplex,
 )
 from treeres.duality import ZeroIdeal
-from treeres.homology import homology_dims_of_faces
+from treeres.homology import _mask_homology
 from treeres.resolution import Frame
 
 SIX_VAR_IDEAL_TEXT = "vars x1 x2 x3 x4 x5 x6\nx1*x3*x6, x1*x4*x6, x1*x2*x4, x4*x5*x6\n"
@@ -225,7 +228,7 @@ def monomial_betti_entries(I: MonomialIdeal) -> tuple:
         k = len(divisor_idx)
         # lcm of each subset by peeling the lowest bit.
         sub_lcm: list[tuple[int, ...] | None] = [None] * (1 << k)
-        strict_faces: list[frozenset[int]] = []
+        strict_faces: list[int] = []  # subsets of divisor_idx as bitmasks
         for mask in range(1, 1 << k):
             low = mask & -mask
             bit = low.bit_length() - 1
@@ -236,12 +239,8 @@ def monomial_betti_entries(I: MonomialIdeal) -> tuple:
             else:
                 sub_lcm[mask] = tuple(map(max, sub_lcm[rest], g))
             if sub_lcm[mask] != m.exponents:
-                strict_faces.append(
-                    frozenset(
-                        divisor_idx[b] for b in range(k) if mask >> b & 1
-                    )
-                )
-        dims = homology_dims_of_faces(strict_faces)
+                strict_faces.append(mask)
+        dims = _mask_homology(strict_faces)
         for i in range(1, k + 2):
             pos = i - 1  # dims is indexed from degree -1
             if 0 <= pos < len(dims) and dims[pos] > 0:
@@ -317,3 +316,50 @@ def sweep_alexander_dual(D):
         return mask == 0 or any(mask & ~f == 0 for f in fmasks)
 
     return maximal_faces(D.vertices, lambda mask: not is_face(full & ~mask))
+
+
+# ---------------------------------------------------------------------------
+# Name-based oracles for the mask faces and components of complexes.py.
+# ---------------------------------------------------------------------------
+
+def name_faces(D: SimplicialComplex) -> frozenset[frozenset[str]]:
+    """Every nonempty face, from vertex-name combinations of each facet."""
+    out: set[frozenset[str]] = set()
+    for f in D.facets:
+        fl = sorted(f)
+        for r in range(1, len(fl) + 1):
+            out.update(frozenset(c) for c in itertools.combinations(fl, r))
+    return frozenset(out)
+
+
+def facet_pair_components(D: SimplicialComplex) -> tuple[frozenset[str], ...]:
+    """Components from joining every two facets that meet, then adding the
+    unused ambient vertices as singletons, in order of smallest vertex."""
+    sets = _DisjointSets(D.q)
+    for i in range(D.q):
+        for j in range(i + 1, D.q):
+            if D.facets[i] & D.facets[j]:
+                sets.union(i, j)
+    parts = [
+        frozenset().union(*(D.facets[i] for i in group))
+        for group in sets.groups(range(D.q))
+    ]
+    for name in D.vertices.names:
+        if name not in D.used_vertices:
+            parts.append(frozenset({name}))
+    parts.sort(key=lambda p: min(D.vertices.index(v) for v in p))
+    return tuple(parts)
+
+
+def induced_divisor_connected(L, multidegrees) -> bool:
+    """For each m, ``induced`` on the vertices whose labels divide m is
+    empty or has one facet-pair component."""
+    names = L.complex.vertices.names
+    for m in multidegrees:
+        W = [v for v, lab in zip(names, L.labels) if divides(lab, m)]
+        if not W:
+            continue
+        sub = induced(L.complex, W)
+        if isinstance(sub, SimplicialComplex) and len(facet_pair_components(sub)) > 1:
+            return False
+    return True

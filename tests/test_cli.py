@@ -297,6 +297,13 @@ class TestErrors:
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("command", ["quasiforest", "tree", "sr"])
+    def test_deeply_nested_json_is_an_error(self, command):
+        proc = _run_cli([command], '{"a":' * 100000 + "\n")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+
     def test_missing_file(self, capsys):
         assert main(["pd", "--input", "/nonexistent/ideal.txt"]) == 2
 

@@ -29,16 +29,22 @@ from treeres.complexes import (
     _signed_boundary,
     _subcollections_have_leaves,
 )
+from treeres.census import enumerate_complexes
 from treeres.duality import dual_facets
+from treeres.homology import reduced_homology_dims
 from treeres.monomial import VariableSet
+from treeres.resolution import LabeledComplex, homogenize, is_minimal_support
 
 from helpers import (
     cx,
+    facet_pair_components,
     hollow_triangle,
+    name_faces,
     six_var_ideal,
     star_ideal,
     tuple_faces_by_dim,
     tuple_signed_boundary,
+    variables_ideal,
 )
 from strategies import complexes, graphs
 
@@ -378,6 +384,49 @@ class TestFaceGuard:
         names = [f"v{i}" for i in range(SUBSET_GUARD + 1)]
         with pytest.raises(ValueError, match=r"2097152 facet subsets, limit 1048576"):
             faces(cx(names, [names]))
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            faces,
+            f_vector,
+            reduced_homology_dims,
+            lambda D: homogenize(_labeled_by_variables(D)),
+            lambda D: is_minimal_support(_labeled_by_variables(D)),
+        ],
+        ids=["faces", "f_vector", "reduced_homology_dims", "homogenize",
+             "is_minimal_support"],
+    )
+    def test_every_sweep_entry_point_refuses(self, entry):
+        names = [f"v{i}" for i in range(SUBSET_GUARD + 1)]
+        with pytest.raises(ValueError, match="face enumeration guard exceeded"):
+            entry(cx(names, [names]))
+
+
+def _labeled_by_variables(D: SimplicialComplex) -> LabeledComplex:
+    """D with vertex i labeled by the variable x_{i+1}."""
+    return LabeledComplex(D, variables_ideal(D.n).generators)
+
+
+class TestMaskOracles:
+    """The mask faces and vertex union-find components against the
+    name-based oracles kept in helpers.py, in component order."""
+
+    def test_every_complex_up_to_five_vertices(self):
+        count = 0
+        for D in enumerate_complexes(5):
+            assert faces(D) == name_faces(D), D
+            assert connected_components(D) == facet_pair_components(D), D
+            count += 1
+        assert count == 7020
+
+    @given(complexes(max_vertices=6, ambient=True))
+    def test_complexes_with_unused_vertices(self, D):
+        assert faces(D) == name_faces(D)
+        assert f_vector(D) == tuple(
+            sum(1 for f in name_faces(D) if len(f) == k) for k in range(1, D.dim + 2)
+        )
+        assert connected_components(D) == facet_pair_components(D)
 
 
 class TestConnectivity:

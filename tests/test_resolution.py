@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from treeres.complexes import SimplicialComplex, faces, full_simplex
+from treeres.census import enumerate_complexes
+from treeres.complexes import (
+    SimplicialComplex,
+    connected_components,
+    faces,
+    full_simplex,
+    is_full_simplex,
+    leaf_order,
+)
 from treeres.duality import dual_facets
 from treeres.monomial import Monomial, VariableSet, lcm_closure, parse_ideal
 from treeres.resolution import (
@@ -34,17 +42,27 @@ from treeres.resolution import (
 from helpers import (
     column_fingerprint,
     cx,
+    facet_pair_components,
     frame_from_matrices,
     frame_matrices,
     hollow_triangle,
+    induced_divisor_connected,
     mono,
+    name_faces,
     printed_matrix_fingerprint,
     six_var_ideal,
     star_ideal,
     tuple_homogenize,
     variables_ideal,
 )
-from strategies import ideals, labeled_forests, nonunit_monomials, squarefree_ideals
+from strategies import (
+    complexes,
+    ideals,
+    labeled_forests,
+    monomials,
+    nonunit_monomials,
+    squarefree_ideals,
+)
 
 
 PRINTED_SIX_VAR_MATRIX = [
@@ -190,6 +208,39 @@ class TestSupportsResolution:
         )
         with pytest.raises(ValueError, match="simplicial forest"):
             supports_resolution(L)
+
+
+class TestDivisorOracle:
+    """The mask divisor-induced check against the ``induced``-based oracle
+    kept in helpers.py, with the tree faces and components against theirs."""
+
+    def test_every_tree_of_the_census_quasi_forests(self):
+        trees = failing = 0
+        for D in enumerate_complexes(5):
+            if is_full_simplex(D) or leaf_order(D) is None:
+                continue
+            for T in enumerate_trees(D):
+                E = T.complex
+                assert faces(E) == name_faces(E)
+                assert connected_components(E) == facet_pair_components(E)
+                # Reversed labels make many trees that fail the criterion.
+                for L in (T, LabeledComplex(E, T.labels[::-1])):
+                    lattice = lcm_closure(L.labels)
+                    verdict = _divisor_induced_connected(L, lattice)
+                    assert verdict == induced_divisor_connected(L, lattice), L
+                    failing += not verdict
+                trees += 1
+        assert (trees, failing) == (2207, 877)
+
+    @given(st.data())
+    def test_complexes_with_unused_vertices(self, data):
+        D = data.draw(complexes(max_vertices=5, ambient=True))
+        labels = data.draw(st.lists(monomials(max_exp=2), min_size=D.n, max_size=D.n))
+        L = LabeledComplex(D, labels)
+        lattice = lcm_closure(labels)
+        assert _divisor_induced_connected(L, lattice) == induced_divisor_connected(
+            L, lattice
+        )
 
 
 class TestTreePathSupport:
@@ -533,6 +584,21 @@ class TestSerialization:
         payload = labeled_complex_to_json(build_tree(dual_facets(six_var_ideal())))
         payload[key] = value
         with pytest.raises(ValueError, match="lists of names"):
+            labeled_complex_from_json(payload)
+
+    @pytest.mark.parametrize(
+        "spoil",
+        [
+            lambda labels: {**labels, "v1": 5},
+            lambda labels: {v: m for v, m in labels.items() if v != "v1"},
+            lambda labels: list(labels.values()),
+        ],
+        ids=["non-string-label", "missing-label", "list-of-labels"],
+    )
+    def test_labeled_complex_labels_checked(self, spoil):
+        payload = labeled_complex_to_json(build_tree(dual_facets(six_var_ideal())))
+        payload["labels"] = spoil(payload["labels"])
+        with pytest.raises(ValueError, match="'labels' mapping each vertex"):
             labeled_complex_from_json(payload)
 
     def test_dot_output(self):
