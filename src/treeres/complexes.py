@@ -121,8 +121,9 @@ def is_full_simplex(D: SimplicialComplex) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Shared primitives: vertex bitmasks, union-find, the submask sweep, masks
-# by size, and faces bucketed for boundary matrices.
+# Shared primitives: vertex bitmasks, union-find, the submask sweep, the
+# transpose of a mask matrix, masks by size, and faces bucketed for
+# boundary matrices.
 # ---------------------------------------------------------------------------
 
 def _mask_names(names: Sequence[str], mask: int) -> list[str]:
@@ -196,6 +197,25 @@ def _submasks(facet_masks: Iterable[int]) -> set[int]:
             out.add(s)
             s = (s - 1) & f
     return out
+
+
+def _transpose(masks: Sequence[int]) -> list[int]:
+    """The columns of the 0/1 matrix whose row i is masks[i]: one mask of
+    row positions per bit set in some row, in bit order."""
+    union = 0
+    for m in masks:
+        union |= m
+    columns = []
+    while union:
+        low = union & -union
+        column, row = 0, 1
+        for m in masks:
+            if m & low:
+                column |= row
+            row <<= 1
+        columns.append(column)
+        union ^= low
+    return columns
 
 
 def _face_masks(D: SimplicialComplex) -> set[int]:
@@ -282,11 +302,20 @@ def _has_leaf(masks: Sequence[int]) -> bool:
 
 
 def _maximal(masks: Iterable[int]) -> list[int]:
-    distinct = set(masks)
-    return [
-        m for m in distinct
-        if not any(m != other and m & ~other == 0 for other in distinct)
-    ]
+    """The distinct masks that lie in no other mask, most bits first.
+
+    A mask can lie only in a mask with at least as many bits, so one pass
+    in order of falling popcount keeps each mask that no kept mask
+    contains.
+    """
+    kept: list[int] = []
+    for m in sorted(set(masks), key=int.bit_count, reverse=True):
+        for k in kept:
+            if m & ~k == 0:
+                break
+        else:
+            kept.append(m)
+    return kept
 
 
 def _greedy_removal(masks: Sequence[int]):

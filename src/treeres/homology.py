@@ -20,7 +20,10 @@ from .complexes import (
     _face_masks,
     _faces_by_dim,
     _is_name_list,
+    _maximal,
     _signed_boundary,
+    _submasks,
+    _transpose,
 )
 from .monomial import Monomial, MonomialIdeal, VariableSet, exponent_masks, lcm_closure
 from .resolution import Frame, _squares_to_zero
@@ -170,42 +173,64 @@ class BettiTable:
         return max(i for i, _, _ in self.entries)
 
 
+def _core(rows: Sequence[int]) -> list[int]:
+    """The facets, as rows of vertex bitmasks, of the strong-collapse core
+    of the complex whose facets are the given rows.
+
+    Drops each row inside another row and each vertex whose column lies
+    inside another column (a dominated vertex), until neither is left or
+    a single row is.  Both steps keep the homotopy type (Barmak-Minian,
+    *Strong homotopy types, nerves and collapses*, 2012); vertex j of the
+    result is the j-th column that survived.
+    """
+    rows = _maximal(rows)
+    while len(rows) > 1:
+        columns = _transpose(rows)
+        kept = _maximal(columns)
+        if len(kept) == len(columns):
+            break
+        rows = _maximal(_transpose(kept))
+    return rows
+
+
 def betti(I: MonomialIdeal) -> BettiTable:
     """Graded Betti numbers of S/I.
 
     For each lcm-lattice element m, beta_{i,m} is the reduced homology in
-    degree i-2 of the faces of the labeled full simplex on the generators
-    whose label strictly divides m; beta_0 is 1 at multidegree 1.  Valid
-    for arbitrary (not only squarefree) monomial ideals.  The sweep runs on
-    ``exponent_masks`` of the generators and the lattice, so a subset lcm
-    is a bitwise or and divisibility is mask inclusion.
+    degree i-2 of the upper Koszul complex K^m, the sets J of variables
+    with m/x^J in I (Miller-Sturmfels, *Combinatorial Commutative
+    Algebra*, Thm 1.34); beta_0 is 1 at multidegree 1.  Valid for
+    arbitrary (not only squarefree) monomial ideals.  On the
+    ``exponent_masks`` of the generators and the lattice, the facets of
+    K^m are the rows ``tops & ~g``, one per generator g dividing m, where
+    ``tops`` holds the top bit of each variable block of m.  The rows are
+    cut to their strong-collapse core (``_core``), and the homology is
+    taken on the rows or on their columns, whichever has fewer vertices.
+    The column complex is the nerve of the rows: the sets of generators
+    whose lcm strictly divides m, so the homology is that of the
+    strict-divisor subcomplex of the Taylor simplex.
     """
     if I.q > BETTI_GUARD:
         raise ValueError(f"betti guard exceeded (q={I.q})")
     gens = I.generators
     lattice = tuple(lcm_closure(gens))
-    masks, _ = exponent_masks(gens + lattice)
+    masks, levels = exponent_masks(gens + lattice)
     gen_masks = masks[: len(gens)]
+    starts, offset = 0, 0  # the lowest bit of each variable block
+    for values in levels:
+        starts |= 1 << offset
+        offset += len(values)
     entries: list[tuple[int, Monomial, int]] = [
         (0, Monomial.one(I.vars), 1)
     ]
     for m, top in zip(lattice, masks[len(gens):]):
-        divisor_idx = [k for k, g in enumerate(gen_masks) if g & ~top == 0]
-        k = len(divisor_idx)
-        # lcm of each subset by peeling the lowest bit.
-        sub_lcm = [0] * (1 << k)
-        strict_faces: list[int] = []  # subsets of divisor_idx as bitmasks
-        for mask in range(1, 1 << k):
-            low = mask & -mask
-            g = gen_masks[divisor_idx[low.bit_length() - 1]]
-            sub_lcm[mask] = sub_lcm[mask ^ low] | g
-            if sub_lcm[mask] != top:
-                strict_faces.append(mask)
-        dims = _mask_homology(strict_faces)
-        for i in range(1, k + 2):
-            pos = i - 1  # dims is indexed from degree -1
-            if 0 <= pos < len(dims) and dims[pos] > 0:
-                entries.append((i, m, dims[pos]))
+        tops = top & ~((top & ~starts) >> 1)
+        rows = _core([tops & ~g for g in gen_masks if g & ~top == 0])
+        columns = _transpose(rows)
+        dims = _mask_homology(_submasks(columns if len(rows) < len(columns) else rows))
+        for pos, b in enumerate(dims):  # dims is indexed from degree -1
+            if b:
+                entries.append((pos + 1, m, b))
     entries.sort(key=lambda t: (t[0], t[1].degree(), t[1].exponents))
     return BettiTable(I.vars, tuple(entries))
 

@@ -1,12 +1,23 @@
 from fractions import Fraction
+import random
 
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from treeres.complexes import EmptyComplex, VoidComplex, f_vector
-from treeres.duality import dual_facets
+from treeres.census import enumerate_complexes
+from treeres.complexes import (
+    EmptyComplex,
+    VoidComplex,
+    _maximal,
+    _submasks,
+    _transpose,
+    f_vector,
+    is_full_simplex,
+)
+from treeres.duality import dual_facets, dual_generators
 from treeres.homology import (
+    _core,
     betti,
     betti_from_json,
     betti_to_json,
@@ -39,6 +50,7 @@ from helpers import (
     six_var_ideal,
     star_ideal,
 )
+from strategies import _maximal as brute_maximal
 from strategies import complexes, ideals, labeled_forests, squarefree_ideals
 
 
@@ -199,6 +211,62 @@ class TestReducedHomology:
         assert reduced_homology_dims(D) == (0, 0, 0, 1)
 
 
+def facet_homology(rows) -> tuple[int, ...]:
+    """Reduced homology of the complex with these facet masks, trailing
+    zeros dropped: the degrees past a core's dimension read 0."""
+    dims = list(_mask_homology(_submasks(rows)))
+    while dims and not dims[-1]:
+        dims.pop()
+    return tuple(dims)
+
+
+class TestCore:
+    @given(st.lists(st.integers(0, 63), min_size=1, max_size=8))
+    def test_core_and_its_nerve_keep_the_homology(self, rows):
+        core = _core(rows)
+        assert facet_homology(core) == facet_homology(rows)
+        assert facet_homology(_transpose(core)) == facet_homology(rows)
+
+    def test_empty_face_only(self):
+        assert _core([0]) == [0]
+        assert _transpose([0]) == []
+        assert _mask_homology(_submasks([0])) == (1,)
+
+    def test_cone_collapses_to_a_point(self):
+        # Two edges on apex 0 and a triangle on apex 0: every vertex is
+        # dominated by the apex.
+        rows = [0b0011, 0b0101, 0b1001, 0b1011]
+        core = _core(rows)
+        assert len(core) == 1 and core[0].bit_count() == 1
+        assert facet_homology(rows) == ()
+
+    def test_hollow_triangle_is_its_own_core(self):
+        rows = [0b011, 0b110, 0b101]
+        core = _core(rows)
+        assert sorted(core) == sorted(rows)
+        assert sorted(_transpose(core)) == sorted(rows)
+        assert _mask_homology(_submasks(core)) == (0, 0, 1)
+
+    def test_two_disjoint_points(self):
+        assert sorted(_core([0b01, 0b10])) == [0b01, 0b10]
+        assert _mask_homology(_submasks(_core([0b01, 0b10]))) == (0, 1)
+
+    def test_transpose(self):
+        assert _transpose([0b101, 0b110]) == [0b01, 0b10, 0b11]
+        assert _transpose(_transpose([0b101, 0b110])) == [0b101, 0b110]
+
+    @given(st.lists(st.integers(0, 63), max_size=10))
+    def test_maximal_matches_brute_force(self, masks):
+        kept = _maximal(masks)
+        assert sorted(kept) == brute_maximal(masks)
+        assert len(kept) == len(set(kept))
+
+    def test_maximal_with_zero_and_duplicates(self):
+        assert _maximal([0, 0]) == [0]
+        assert _maximal([0, 0b11, 0b11, 0b01, 0]) == [0b11]
+        assert sorted(_maximal([0b110, 0b011, 0b010, 0b110])) == [0b011, 0b110]
+
+
 class TestExactFrame:
     def test_six_var_tree_frame(self):
         F = homogenize(build_tree(dual_facets(six_var_ideal())))
@@ -344,6 +412,41 @@ class TestBettiMatchesMonomialSweep:
             "x5*x6, x6^90000000*x2\n"
         )
         assert betti(I).entries == monomial_betti_entries(I)
+
+
+def dense_squarefree_ideal(rng: random.Random, q: int) -> MonomialIdeal:
+    """q distinct antichain supports of size 2 or 3 on q variables."""
+    supports: list[frozenset[int]] = []
+    while len(supports) < q:
+        cand = frozenset(rng.sample(range(q), rng.choice((2, 2, 3))))
+        if not any(cand <= s or s <= cand for s in supports):
+            supports.append(cand)
+    V = VariableSet(tuple([f"x{i + 1}" for i in range(q)]))
+    return MonomialIdeal(V, tuple([
+        Monomial(V, tuple([int(i in s) for i in range(q)])) for s in supports
+    ]))
+
+
+class TestBettiOracleFixedInputs:
+    """The core-reduced oracle against the lattice sweep on Monomials, on
+    inputs that do not depend on a Hypothesis draw."""
+
+    def test_every_census_dual_up_to_four_vertices(self):
+        count = 0
+        for D in enumerate_complexes(4):
+            if is_full_simplex(D):
+                continue
+            I = dual_generators(D)
+            assert betti(I).entries == monomial_betti_entries(I), D
+            count += 1
+        assert count == 122
+
+    @pytest.mark.parametrize("q", [8, 10, 12])
+    def test_dense_squarefree(self, q):
+        rng = random.Random(q)
+        for _ in range(2):
+            I = dense_squarefree_ideal(rng, q)
+            assert betti(I).entries == monomial_betti_entries(I)
 
 
 class TestBettiTableJson:
