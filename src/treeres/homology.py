@@ -3,8 +3,13 @@
 Everything here is independent of the tree constructions it is used to
 check: ranks come from sparse row reduction over the rationals,
 reduced homology from augmented boundary matrices, and the graded Betti
-numbers from strict-divisor subcomplexes of the labeled full simplex on
-the generators.  No floating point anywhere.
+numbers from the upper Koszul complex of each lcm-lattice element
+(Miller-Sturmfels, *Combinatorial Commutative Algebra*, Thm 1.34), cut
+to its strong-collapse core (Barmak-Minian, *Strong homotopy types,
+nerves and collapses*, 2012) before its homology is taken.  Removing a
+dominated vertex and passing to the nerve of the facets both keep the
+homotopy type, so the homology is that of the complex itself.  No
+floating point anywhere.
 """
 
 from __future__ import annotations
@@ -138,7 +143,7 @@ def is_exact_frame(fr: Frame) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Multigraded Betti numbers of S/I via strict-divisor subcomplexes.
+# Multigraded Betti numbers of S/I via upper Koszul complexes.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -179,9 +184,8 @@ def _core(rows: Sequence[int]) -> list[int]:
 
     Drops each row inside another row and each vertex whose column lies
     inside another column (a dominated vertex), until neither is left or
-    a single row is.  Both steps keep the homotopy type (Barmak-Minian,
-    *Strong homotopy types, nerves and collapses*, 2012); vertex j of the
-    result is the j-th column that survived.
+    a single row is.  Both steps keep the homotopy type (Barmak-Minian);
+    vertex j of the result is the j-th column that survived.
     """
     rows = _maximal(rows)
     while len(rows) > 1:
@@ -224,8 +228,17 @@ def betti(I: MonomialIdeal) -> BettiTable:
         (0, Monomial.one(I.vars), 1)
     ]
     for m, top in zip(lattice, masks[len(gens):]):
+        # The top bit of each block: a set bit whose upper neighbour in the
+        # block is clear.  Block starts are cleared before the shift so that
+        # the next block cannot hide the top bit of a full block.
         tops = top & ~((top & ~starts) >> 1)
         rows = _core([tops & ~g for g in gen_masks if g & ~top == 0])
+        if len(rows) == 1:
+            # One facet: a simplex, acyclic, unless it is the empty face
+            # alone, which happens exactly when m is a generator.
+            if not rows[0]:
+                entries.append((1, m, 1))
+            continue
         columns = _transpose(rows)
         dims = _mask_homology(_submasks(columns if len(rows) < len(columns) else rows))
         for pos, b in enumerate(dims):  # dims is indexed from degree -1
