@@ -11,6 +11,7 @@ the CLI turns into a reproducer file.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from multiprocessing import Pool
 from typing import Iterator
@@ -39,7 +40,7 @@ from .duality import (
     sr_ideal,
 )
 from .homology import BETTI_GUARD, betti, reduced_homology_dims
-from .monomial import VariableSet, lcm, lcm_closure
+from .monomial import VariableSet, lcm
 from .resolution import (
     FreeComplex,
     _divisor_induced_connected,
@@ -323,7 +324,7 @@ def _check_built_trees(D, I, first, table, rep: ComplexReport) -> None:
             rep.violations.append("built tree does not support a resolution")
         if not is_minimal_support(T):
             rep.violations.append("built tree fails the subface-label criterion")
-        if sup != _divisor_induced_connected(T, lcm_closure(T.labels)):
+        if sup != _divisor_induced_connected(T):
             rep.violations.append("tree-path support disagrees with the lcm-lattice sweep")
         if not _degree_filtration_is_spanning(T):
             rep.violations.append("degree filtration is not a spanning forest chain")
@@ -405,6 +406,8 @@ def _census_reports(max_vertices: int, workers: int) -> list[ComplexReport]:
         for n in range(1, max_vertices + 1)
         for masks in antichain_covers(n)
     ]
+    # More processes than CPUs buy nothing; the reports do not depend on it.
+    workers = min(workers, os.cpu_count() or 1)
     if workers > 1:
         with Pool(workers) as pool:
             return pool.map(check_complex, payloads, chunksize=64)

@@ -4,12 +4,12 @@ Everything here is independent of the tree constructions it is used to
 check: ranks come from sparse row reduction over the rationals,
 reduced homology from augmented boundary matrices, and the graded Betti
 numbers from the upper Koszul complex of each lcm-lattice element
-(Miller-Sturmfels, *Combinatorial Commutative Algebra*, Thm 1.34), cut
-to its strong-collapse core (Barmak-Minian, *Strong homotopy types,
-nerves and collapses*, 2012) before its homology is taken.  Removing a
-dominated vertex and passing to the nerve of the facets both keep the
-homotopy type, so the homology is that of the complex itself.  No
-floating point anywhere.
+(Miller-Sturmfels, *Combinatorial Commutative Algebra*, Thm 1.34), on
+``exponent_masks`` from encode to table entry, cut to its strong-collapse
+core (Barmak-Minian, *Strong homotopy types, nerves and collapses*,
+2012) before its homology is taken.  Removing a dominated vertex and
+passing to the nerve of the facets both keep the homotopy type, so the
+homology is that of the complex itself.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -30,7 +30,14 @@ from .complexes import (
     _submasks,
     _transpose,
 )
-from .monomial import Monomial, MonomialIdeal, VariableSet, exponent_masks, lcm_closure
+from .monomial import (
+    Monomial,
+    MonomialIdeal,
+    VariableSet,
+    exponent_masks,
+    lcm_closure,
+    mask_exponents,
+)
 from .resolution import Frame, _squares_to_zero
 
 FACE_GUARD = 1 << 16
@@ -204,46 +211,30 @@ def betti(I: MonomialIdeal) -> BettiTable:
     degree i-2 of the upper Koszul complex K^m, the sets J of variables
     with m/x^J in I (Miller-Sturmfels, *Combinatorial Commutative
     Algebra*, Thm 1.34); beta_0 is 1 at multidegree 1.  Valid for
-    arbitrary (not only squarefree) monomial ideals.  On the
-    ``exponent_masks`` of the generators and the lattice, the facets of
-    K^m are the rows ``tops & ~g``, one per generator g dividing m, where
-    ``tops`` holds the top bit of each variable block of m.  The rows are
-    cut to their strong-collapse core (``_core``), and the homology is
-    taken on the rows or on their columns, whichever has fewer vertices.
-    The column complex is the nerve of the rows: the sets of generators
-    whose lcm strictly divides m, so the homology is that of the
-    strict-divisor subcomplex of the Taylor simplex.
+    arbitrary (not only squarefree) monomial ideals.  The lattice is the
+    ``lcm_closure`` of the generators' ``exponent_masks``.  For a lattice
+    mask ``top``, the rows ``top & ~g``, one per generator mask g inside
+    ``top``, are the facets of K^m with each variable spread over its
+    block of bits; a lower bit's column lies inside the column of its
+    block's top bit, so that bit is a dominated vertex.  The rows are cut
+    to their strong-collapse core (``_core``), and the homology is taken
+    on the rows or on their columns, whichever has fewer vertices: the
+    column complex is the nerve of the rows, the strict-divisor
+    subcomplex of the Taylor simplex.
     """
     if I.q > BETTI_GUARD:
         raise ValueError(f"betti guard exceeded (q={I.q})")
-    gens = I.generators
-    lattice = tuple(lcm_closure(gens))
-    masks, levels = exponent_masks(gens + lattice)
-    gen_masks = masks[: len(gens)]
-    starts, offset = 0, 0  # the lowest bit of each variable block
-    for values in levels:
-        starts |= 1 << offset
-        offset += len(values)
-    entries: list[tuple[int, Monomial, int]] = [
-        (0, Monomial.one(I.vars), 1)
-    ]
-    for m, top in zip(lattice, masks[len(gens):]):
-        # The top bit of each block: a set bit whose upper neighbour in the
-        # block is clear.  Block starts are cleared before the shift so that
-        # the next block cannot hide the top bit of a full block.
-        tops = top & ~((top & ~starts) >> 1)
-        rows = _core([tops & ~g for g in gen_masks if g & ~top == 0])
-        if len(rows) == 1:
-            # One facet: a simplex, acyclic, unless it is the empty face
-            # alone, which happens exactly when m is a generator.
-            if not rows[0]:
-                entries.append((1, m, 1))
-            continue
+    gens, levels = exponent_masks(I.generators)
+    entries: list[tuple[int, Monomial, int]] = [(0, Monomial.one(I.vars), 1)]
+    for top in lcm_closure(gens):
+        rows = _core([top & ~g for g in gens if g & ~top == 0])
         columns = _transpose(rows)
         dims = _mask_homology(_submasks(columns if len(rows) < len(columns) else rows))
-        for pos, b in enumerate(dims):  # dims is indexed from degree -1
-            if b:
-                entries.append((pos + 1, m, b))
+        if any(dims):
+            m = Monomial(I.vars, mask_exponents(top, levels))
+            for pos, b in enumerate(dims):  # dims is indexed from degree -1
+                if b:
+                    entries.append((pos + 1, m, b))
     entries.sort(key=lambda t: (t[0], t[1].degree(), t[1].exponents))
     return BettiTable(I.vars, tuple(entries))
 

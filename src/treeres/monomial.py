@@ -204,15 +204,9 @@ def mask_exponents(mask: int, levels: Sequence[Sequence[int]]) -> tuple[int, ...
     return tuple(exps)
 
 
-def lcm_closure(monomials: Sequence[Monomial]) -> frozenset[Monomial]:
-    """All lcms of nonempty subsets: the closure under pairwise lcm,
-    taken on exponent masks."""
-    if not monomials:
-        raise ValueError("lcm closure of an empty collection")
-    vars = monomials[0].vars
-    for m in monomials:
-        _check_same_vars(monomials[0], m)
-    gens, levels = exponent_masks(monomials)
+def lcm_closure(gens: Sequence[int]) -> set[int]:
+    """The closure under ``|`` of ``exponent_masks`` masks: the masks of
+    the lcms of all nonempty subsets.  No masks give the empty set."""
     closed = set(gens)
     frontier = list(closed)
     while frontier:
@@ -224,7 +218,7 @@ def lcm_closure(monomials: Sequence[Monomial]) -> frozenset[Monomial]:
                     closed.add(v)
                     nxt.append(v)
         frontier = nxt
-    return frozenset(Monomial(vars, mask_exponents(m, levels)) for m in closed)
+    return closed
 
 
 @dataclass(frozen=True)

@@ -225,7 +225,7 @@ def supports_resolution(L: LabeledComplex) -> bool:
         raise ValueError("not a simplicial forest")
     if L.complex.dim <= 1:
         return _paths_under_pair_lcms(L)
-    return _divisor_induced_connected(L, lcm_closure(L.labels))
+    return _divisor_induced_connected(L)
 
 
 def _paths_under_pair_lcms(L: LabeledComplex) -> bool:
@@ -265,22 +265,19 @@ def _paths_under_pair_lcms(L: LabeledComplex) -> bool:
     return True
 
 
-def _divisor_induced_connected(
-    L: LabeledComplex, multidegrees: Iterable[Monomial]
-) -> bool:
-    """For each m, the subcomplex induced on the vertices whose labels
-    divide m is connected or empty.
+def _divisor_induced_connected(L: LabeledComplex) -> bool:
+    """For each element m of the lcm lattice of the labels, the subcomplex
+    induced on the vertices whose labels divide m is connected or empty.
 
-    Labels and multidegrees share ``exponent_masks``, so divisibility is
-    mask inclusion.  The induced facets are the facet masks cut down to the
-    dividing vertices that lie in a facet, and its components are the
-    ``_vertex_components`` that meet those vertices.
+    The lattice is the ``lcm_closure`` of the labels' ``exponent_masks``,
+    so divisibility is mask inclusion.  The induced facets are the facet
+    masks cut down to the dividing vertices that lie in a facet, and its
+    components are the ``_vertex_components`` that meet those vertices.
     """
     D = L.complex
     used = D._mask(D.used_vertices)
-    masks, _ = exponent_masks([*L.labels, *multidegrees])
-    labels = masks[:D.n]
-    for top in masks[D.n:]:
+    labels, _ = exponent_masks(L.labels)
+    for top in lcm_closure(labels):
         W = used & sum([1 << v for v, lab in enumerate(labels) if lab & ~top == 0])
         components = _vertex_components(D.n, [f & W for f in D._facet_masks])
         if sum([1 for c in components if c & W]) > 1:

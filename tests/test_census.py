@@ -107,6 +107,31 @@ class TestInvariantBattery:
         assert serial.quasi_forests == parallel.quasi_forests
         assert serial.violations == parallel.violations == []
 
+    @pytest.mark.parametrize(
+        "cpus, started", [(4, [4]), (None, [])], ids=["four-cpus", "unknown-cpus"]
+    )
+    def test_worker_pool_is_capped_at_the_cpu_count(self, monkeypatch, cpus, started):
+        # A recording Pool runs the checks in this process: none is started.
+        processes = []
+
+        class RecordingPool:
+            def __init__(self, n):
+                processes.append(n)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, payloads, chunksize=1):
+                return [fn(p) for p in payloads]
+
+        monkeypatch.setattr("treeres.census.Pool", RecordingPool)
+        monkeypatch.setattr("treeres.census.os.cpu_count", lambda: cpus)
+        assert run_census(3, workers=100_000).total == run_census(3).total
+        assert processes == started
+
     def test_guard(self):
         with pytest.raises(ValueError):
             run_census(7)
@@ -184,7 +209,7 @@ def test_recorded_violation_does_not_crash(monkeypatch, name, replacement, masks
     [
         ("_subcollections_have_leaves", lambda masks: False,
          "graph acyclicity disagrees with the subcollection sweep"),
-        ("_divisor_induced_connected", lambda L, multidegrees: False,
+        ("_divisor_induced_connected", lambda L: False,
          "tree-path support disagrees with the lcm-lattice sweep"),
     ],
     ids=["forest-oracle", "support-oracle"],

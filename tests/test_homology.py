@@ -49,6 +49,7 @@ from helpers import (
     name_faces,
     six_var_ideal,
     star_ideal,
+    three_variable_ideals,
 )
 from strategies import _maximal as brute_maximal
 from strategies import complexes, ideals, labeled_forests, squarefree_ideals
@@ -441,6 +442,14 @@ class TestBettiOracleFixedInputs:
             count += 1
         assert count == 122
 
+    def test_every_three_variable_ideal_with_exponents_at_most_two(self):
+        # Multi-bit variable blocks: lower exponent levels are dominated
+        # vertices of the complex that the core removes.
+        ideals = three_variable_ideals()
+        for I in ideals:
+            assert betti(I).entries == monomial_betti_entries(I), str(I)
+        assert (len(ideals), sum(not I.is_squarefree() for I in ideals)) == (978, 960)
+
     @pytest.mark.parametrize("q", [8, 10, 12])
     def test_dense_squarefree(self, q):
         rng = random.Random(q)
@@ -496,31 +505,10 @@ class TestPolarizationPreservesPd:
         assert pd_quotient(I) == pd_quotient(P)
 
     def test_exhaustive_three_variable_census(self):
-        # Every antichain of monomials on three variables with exponents
-        # at most two (978 of them; 960 are non-squarefree).
-        import itertools
-
-        from treeres.monomial import divides, minimalize, polarize
-
-        V = VariableSet(("x", "y", "z"))
-        order = sorted(
-            (Monomial(V, e) for e in itertools.product(range(3), repeat=3) if any(e)),
-            key=lambda m: (m.degree(), m.exponents),
-        )
-
-        def go(start, chosen):
-            if chosen:
-                yield tuple(chosen)
-            for k in range(start, len(order)):
-                m = order[k]
-                if all(not divides(m, c) and not divides(c, m) for c in chosen):
-                    chosen.append(m)
-                    yield from go(k + 1, chosen)
-                    chosen.pop()
+        from treeres.monomial import polarize
 
         checked = 0
-        for gens in go(0, []):
-            I = minimalize(list(gens))
+        for I in three_variable_ideals():
             if I.is_squarefree():
                 continue
             checked += 1

@@ -15,7 +15,14 @@ from treeres.complexes import (
     leaf_order,
 )
 from treeres.duality import dual_facets
-from treeres.monomial import Monomial, VariableSet, lcm_closure, parse_ideal
+from treeres.monomial import (
+    Monomial,
+    VariableSet,
+    exponent_masks,
+    lcm_closure,
+    mask_exponents,
+    parse_ideal,
+)
 from treeres.resolution import (
     Entry,
     Frame,
@@ -49,6 +56,7 @@ from helpers import (
     induced_divisor_connected,
     mono,
     name_faces,
+    pairwise_lcm_closure,
     printed_matrix_fingerprint,
     six_var_ideal,
     star_ideal,
@@ -168,20 +176,42 @@ class TestTaylor:
         assert frame_matrices(fr) == tuple(expected)
 
 
+def decoded_lcm_closure(monomials) -> frozenset[Monomial]:
+    """The package's ``lcm_closure`` of the monomials' masks, decoded."""
+    masks, levels = exponent_masks(monomials)
+    vars = monomials[0].vars
+    return frozenset(
+        Monomial(vars, mask_exponents(m, levels)) for m in lcm_closure(masks)
+    )
+
+
+class TestLabeledComplex:
+    def test_rejects_mixed_label_sets(self):
+        # lcm_closure takes masks and cannot see variable sets; the
+        # labels are checked here instead.
+        V, W = VariableSet(("x1", "x2")), VariableSet(("y1", "y2"))
+        edge = cx(["v1", "v2"], [("v1", "v2")])
+        with pytest.raises(ValueError, match="mixed variable sets"):
+            LabeledComplex(edge, (mono(V, "x1"), mono(W, "y1")))
+
+
 class TestLcmLattice:
     def test_star_ideal(self):
         I = star_ideal()
-        lattice = lcm_closure(I.generators)
+        lattice = decoded_lcm_closure(I.generators)
         top = mono(I.vars, "x1*x2*x3*x4")
         assert lattice == frozenset(I.generators) | {top}
+        assert lattice == pairwise_lcm_closure(I.generators)
 
     def test_principal(self):
         I = parse_ideal("x1*x2\n")
-        assert lcm_closure(I.generators) == frozenset(I.generators)
+        lattice = decoded_lcm_closure(I.generators)
+        assert lattice == frozenset(I.generators) == pairwise_lcm_closure(I.generators)
 
     def test_six_var_contains_edge_labels(self):
         I = six_var_ideal()
-        lattice = lcm_closure(I.generators)
+        lattice = decoded_lcm_closure(I.generators)
+        assert lattice == pairwise_lcm_closure(I.generators)
         for text in ("x1*x2*x4*x6", "x1*x3*x4*x6", "x1*x4*x5*x6"):
             assert mono(I.vars, text) in lattice
 
@@ -225,9 +255,8 @@ class TestDivisorOracle:
                 assert connected_components(E) == facet_pair_components(E)
                 # Reversed labels make many trees that fail the criterion.
                 for L in (T, LabeledComplex(E, T.labels[::-1])):
-                    lattice = lcm_closure(L.labels)
-                    verdict = _divisor_induced_connected(L, lattice)
-                    assert verdict == induced_divisor_connected(L, lattice), L
+                    verdict = _divisor_induced_connected(L)
+                    assert verdict == induced_divisor_connected(L), L
                     failing += not verdict
                 trees += 1
         assert (trees, failing) == (2207, 877)
@@ -237,10 +266,7 @@ class TestDivisorOracle:
         D = data.draw(complexes(max_vertices=5, ambient=True))
         labels = data.draw(st.lists(monomials(max_exp=2), min_size=D.n, max_size=D.n))
         L = LabeledComplex(D, labels)
-        lattice = lcm_closure(labels)
-        assert _divisor_induced_connected(L, lattice) == induced_divisor_connected(
-            L, lattice
-        )
+        assert _divisor_induced_connected(L) == induced_divisor_connected(L)
 
 
 class TestTreePathSupport:
@@ -248,12 +274,10 @@ class TestTreePathSupport:
 
     @given(labeled_forests())
     def test_agrees_with_lattice_sweep(self, L):
-        assert supports_resolution(L) == _divisor_induced_connected(
-            L, lcm_closure(L.labels)
-        )
+        assert supports_resolution(L) == _divisor_induced_connected(L)
 
     def test_twenty_five_vertex_path_builds_no_lattice(self, monkeypatch):
-        def no_lattice(monomials):
+        def no_lattice(masks):
             raise AssertionError("lcm lattice built on a graph")
 
         monkeypatch.setattr("treeres.resolution.lcm_closure", no_lattice)
@@ -281,7 +305,7 @@ class TestTreePathSupport:
             tuple(Monomial(V, e) for e in exps),
         )
         verdict = supports_resolution(L)
-        assert verdict == _divisor_induced_connected(L, lcm_closure(L.labels))
+        assert verdict == _divisor_induced_connected(L)
         assert verdict is not swap
 
 
