@@ -33,7 +33,9 @@ from .monomial import (
 from .resolution import (
     LabeledComplex,
     _default_order,
+    _tree_on,
     build_tree,
+    differentials_in_maximal_ideal,
     enumerate_trees,
     floystad_tree,
     free_complex_to_json,
@@ -70,7 +72,9 @@ def _load_complex(args):
 
 
 def _dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """One line with sorted keys.  An ``indent`` would make ``json`` fall
+    back from its C encoder to the pure-Python one."""
+    return json.dumps(obj, sort_keys=True) + "\n"
 
 
 def _write_dot(args, tree: LabeledComplex) -> None:
@@ -201,9 +205,11 @@ def cmd_floystad(args) -> int:
 
 
 def _tree_for_ideal(I: MonomialIdeal) -> LabeledComplex:
+    """``build_tree(dual_facets(I))``, labeled by I's own generators: they
+    are the dual's complement generators, in facet order."""
     if I.q == 1:
         return floystad_tree(I)  # single labeled vertex
-    return build_tree(dual_facets(I))
+    return _tree_on(dual_facets(I), I.generators)
 
 
 def cmd_resolve(args) -> int:
@@ -213,7 +219,9 @@ def cmd_resolve(args) -> int:
     tree = _tree_for_ideal(I)
     F = homogenize(tree)
     supports = supports_resolution(tree)
-    minimal = is_minimal_support(tree)
+    # On a homogenized complex this is is_minimal_support: each entry of
+    # d_i pairs a face with one codimension-1 subface.
+    minimal = differentials_in_maximal_ideal(F)
     if not (supports and minimal):
         return _abort_with_reproducer(
             "built tree failed the resolution criteria",
@@ -321,7 +329,7 @@ def cmd_verify(args) -> int:
 
     tree_ok = False
     if qf:
-        tree = build_tree(D, order=order)
+        tree = _tree_on(D, I.generators, order)
         tree_ok = supports_resolution(tree) and is_minimal_support(tree)
 
     if not (pd_le_1 == qf == tree_ok):

@@ -237,11 +237,19 @@ class MonomialIdeal:
                 raise ValueError("generator over a different variable set")
             if g.is_one():
                 raise ValueError("the unit monomial cannot be a generator")
-        for i, g in enumerate(self.generators):
-            for j, h in enumerate(self.generators):
-                if i != j and divides(h, g):
+        # Divisibility as mask inclusion: on squarefree generators the
+        # support masks are divides' own test, without its check per pair.
+        gens = self.generators
+        if all([g._squarefree for g in gens]):
+            masks = [g.support_mask for g in gens]
+        else:
+            masks, _ = exponent_masks(gens)
+        for i, outside in enumerate([~m for m in masks]):
+            for j, h in enumerate(masks):
+                if h & outside == 0 and i != j:
                     raise ValueError(
-                        f"not an antichain: {h} divides {g}; minimalize first"
+                        f"not an antichain: {gens[j]} divides {gens[i]}; "
+                        "minimalize first"
                     )
 
     @property

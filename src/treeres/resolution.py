@@ -10,6 +10,7 @@ and column permutation and a global sign per column.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .complexes import (
@@ -346,7 +347,15 @@ def build_tree(D: SimplicialComplex, order=None) -> LabeledComplex:
     of its facet in the prefix subcollection.  ``enumerate_trees`` gives
     every tree across all leaf orders and joint choices.
     """
-    labels = dual_generators(D).generators
+    return _tree_on(D, dual_generators(D).generators, order)
+
+
+def _tree_on(
+    D: SimplicialComplex, labels: Sequence[Monomial], order=None
+) -> LabeledComplex:
+    """``build_tree(D, order)`` with ``labels`` as the complement
+    generators, for a caller that already holds them (the ideal whose
+    dual ``D`` is)."""
     order = _resolve_order(D, order)
     edges = [
         (choices[0], order[i])
@@ -400,9 +409,9 @@ def floystad_tree(I: MonomialIdeal) -> LabeledComplex:
 def differentials_in_maximal_ideal(F: FreeComplex) -> bool:
     """True iff no entry's row multidegree equals its column multidegree."""
     return all(
-        F.modules[i - 1][e.row] != F.modules[i][e.col]
-        for i, entries in enumerate(F.differentials, start=1)
-        for e in entries
+        rows[row] != cols[col]
+        for rows, cols, entries in zip(F.modules, F.modules[1:], F.differentials)
+        for row, col, _ in entries
     )
 
 
@@ -454,23 +463,25 @@ def frame_to_graph(fr: Frame):
 # ---------------------------------------------------------------------------
 
 def free_complex_to_json(F: FreeComplex) -> dict:
+    """Each entry's monomial is its column exponents minus its row
+    exponents: ``FreeComplex`` has checked that the row divides the column,
+    so this is ``entry_monomial`` without a ``Monomial`` per entry."""
+    exps = [[m.exponents for m in module] for module in F.modules]
     return {
         "vars": list(F.vars.names),
         "ranks": list(F.ranks),
-        "multidegrees": [
-            [list(m.exponents) for m in module] for module in F.modules
-        ],
+        "multidegrees": [[list(m) for m in module] for module in exps],
         "differentials": [
             [
                 {
-                    "row": e.row,
-                    "col": e.col,
-                    "sign": e.sign,
-                    "monomial": list(F.entry_monomial(i, e).exponents),
+                    "row": row,
+                    "col": col,
+                    "sign": sign,
+                    "monomial": [*map(sub, cols[col], rows[row])],
                 }
-                for e in entries
+                for row, col, sign in entries
             ]
-            for i, entries in enumerate(F.differentials, start=1)
+            for rows, cols, entries in zip(exps, exps[1:], F.differentials)
         ],
     }
 

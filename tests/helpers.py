@@ -200,6 +200,17 @@ def random_nonsquarefree_ideal(rng: random.Random):
             return I
 
 
+def divides_antichain_violation(gens) -> tuple[Monomial, Monomial] | None:
+    """The first (h, g) with h | g at two distinct positions of ``gens``,
+    g's position outermost, from a ``divides`` call per ordered pair;
+    None for an antichain."""
+    for i, g in enumerate(gens):
+        for j, h in enumerate(gens):
+            if i != j and divides(h, g):
+                return h, g
+    return None
+
+
 def three_variable_ideals() -> list[MonomialIdeal]:
     """Every minimal generating set in x, y, z with exponents at most two:
     978 ideals, 960 of them non-squarefree."""

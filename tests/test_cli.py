@@ -308,6 +308,47 @@ class TestErrors:
         assert main(["pd", "--input", "/nonexistent/ideal.txt"]) == 2
 
 
+SIX_VAR_DUAL_JSON = json.dumps({
+    "vertices": ["x1", "x2", "x3", "x4", "x5", "x6"],
+    "facets": [["x2", "x4", "x5"], ["x2", "x3", "x5"], ["x3", "x5", "x6"], ["x1", "x2", "x3"]],
+})
+
+
+class TestJsonOutput:
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["dual"], SIX_VAR_IDEAL_TEXT),
+            (["sr"], SIX_VAR_IDEAL_TEXT),
+            (["tree"], SIX_VAR_DUAL_JSON),
+            (["tree", "--joint", "all"], SIX_VAR_DUAL_JSON),
+            (["floystad"], SIX_VAR_IDEAL_TEXT),
+            (["resolve"], SIX_VAR_IDEAL_TEXT),
+            (["taylor"], SIX_VAR_IDEAL_TEXT),
+            (["betti"], SIX_VAR_IDEAL_TEXT),
+            (["polarize"], "x^2*y, y^3\n"),
+        ],
+        ids=["dual", "sr", "tree", "tree-joint-all", "floystad", "resolve",
+             "taylor", "betti", "polarize"],
+    )
+    def test_one_line_with_sorted_keys(self, argv, text, tmp_path, capsys):
+        path = tmp_path / "input"
+        path.write_text(text)
+        assert main([*argv, "--input", str(path), "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1 and out.endswith("\n")
+        assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
+
+    def test_reproducer_file_parses(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        payload = {"ideal": SIX_VAR_IDEAL_TEXT, "violations": [["a", 1]]}
+        assert cli._abort_with_reproducer("legs disagree", payload) == 2
+        assert "reproducer written" in capsys.readouterr().err
+        text = (tmp_path / cli.REPRODUCER).read_text()
+        assert json.loads(text) == {**payload, "failure": "legs disagree"}
+        assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+
+
 class TestParserReuse:
     def test_one_parser_serves_every_call(self, tmp_path, six_var_file, monkeypatch, capsys):
         built = []

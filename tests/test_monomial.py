@@ -22,8 +22,20 @@ from treeres.monomial import (
     polarize,
 )
 
-from helpers import mono, pairwise_lcm_closure, six_var_ideal
-from strategies import XYZ, monomials, nonunit_monomials, squarefree_ideals
+from helpers import (
+    divides_antichain_violation,
+    mono,
+    pairwise_lcm_closure,
+    six_var_ideal,
+)
+from strategies import (
+    XYZ,
+    ideals,
+    monomials,
+    nonunit_monomials,
+    squarefree_ideals,
+    squarefree_monomials,
+)
 
 X6 = VariableSet(tuple(f"x{i}" for i in range(1, 7)))
 
@@ -199,6 +211,17 @@ class TestMinimalize:
         assert positions == sorted(positions)
 
 
+@st.composite
+def squarefree_lists_with_repeats_and_multiples(draw):
+    """Squarefree monomials in six variables, then copies and multiples of
+    some of them, shuffled: duplicates and divisible pairs are common."""
+    gens = draw(st.lists(squarefree_monomials(X6), min_size=1, max_size=5))
+    for _ in range(draw(st.integers(0, 3))):
+        g = draw(st.sampled_from(gens))
+        gens.append(lcm(g, draw(squarefree_monomials(X6))) if draw(st.booleans()) else g)
+    return draw(st.permutations(gens))
+
+
 class TestIdealInvariants:
     def test_rejects_non_antichain(self):
         V = VariableSet(("x1", "x2"))
@@ -210,6 +233,30 @@ class TestIdealInvariants:
         # generators are checked here instead.
         with pytest.raises(ValueError, match="different variable set"):
             MonomialIdeal(XYZ, (mono(XYZ, "x"), mono(X6, "x1")))
+
+    @given(ideals())
+    def test_accepts_every_minimalized_ideal(self, I):
+        assert divides_antichain_violation(I.generators) is None
+        assert MonomialIdeal(I.vars, I.generators[::-1]).generators == I.generators[::-1]
+
+    @given(st.one_of(
+        squarefree_lists_with_repeats_and_multiples(),
+        st.lists(nonunit_monomials(), min_size=1, max_size=5),
+    ))
+    def test_rejects_exactly_what_a_divides_loop_rejects(self, gens):
+        # Squarefree lists take the mask path, the others divides.
+        found = divides_antichain_violation(gens)
+        if found is None:
+            assert MonomialIdeal(gens[0].vars, tuple(gens)).generators == tuple(gens)
+            return
+        h, g = found
+        with pytest.raises(ValueError) as exc:
+            MonomialIdeal(gens[0].vars, tuple(gens))
+        assert str(exc.value) == f"not an antichain: {h} divides {g}; minimalize first"
+
+    def test_rejects_a_repeated_squarefree_generator(self):
+        with pytest.raises(ValueError, match="not an antichain: x divides x;"):
+            MonomialIdeal(XYZ, (mono(XYZ, "x"), mono(XYZ, "y"), mono(XYZ, "x")))
 
     def test_order_sensitive_identity_and_set_equality(self):
         I = six_var_ideal()

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from treeres.census import enumerate_complexes
+from treeres.cli import _tree_for_ideal
 from treeres.complexes import (
     SimplicialComplex,
     connected_components,
@@ -432,6 +433,39 @@ class TestBuildTree:
         T = build_tree(dual_facets(I))
         assert {tuple(sorted(f)) for f in T.complex.facets} == {("v1", "v2")}
         assert supports_resolution(T) and is_minimal_support(T)
+
+
+X5 = VariableSet(tuple(f"x{i}" for i in range(1, 6)))
+
+
+class TestResolveFastPaths:
+    """The shortcuts ``resolve --format json`` takes, against the general
+    routes they replace; ``TestFrames`` checks its minimality shortcut."""
+
+    @given(labeled_forests())
+    def test_serialized_entry_monomials_are_quotients(self, L):
+        F = homogenize(L)
+        payload = free_complex_to_json(F)
+        for i, entries in enumerate(F.differentials, start=1):
+            stored = payload["differentials"][i - 1]
+            assert [e["monomial"] for e in stored] == [
+                list(F.entry_monomial(i, e).exponents) for e in entries
+            ]
+        assert free_complex_from_json(payload) == F
+
+    @given(squarefree_ideals(X5, max_gens=6).filter(lambda I: I.q >= 2))
+    def test_tree_for_ideal_is_build_tree_on_the_dual(self, I):
+        try:
+            want = build_tree(dual_facets(I))
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                _tree_for_ideal(I)
+            assert str(got.value) == str(exc)
+            return
+        got = _tree_for_ideal(I)
+        assert got.complex.vertices == want.complex.vertices
+        assert got.complex.facets == want.complex.facets
+        assert got.labels == want.labels
 
 
 class TestFloystad:
