@@ -353,9 +353,8 @@ def build_tree(D: SimplicialComplex, order=None) -> LabeledComplex:
 def _tree_on(
     D: SimplicialComplex, labels: Sequence[Monomial], order=None
 ) -> LabeledComplex:
-    """``build_tree(D, order)`` with ``labels`` as the complement
-    generators, for a caller that already holds them (the ideal whose
-    dual ``D`` is)."""
+    """``build_tree(D, order)`` for a caller that already holds the
+    complement generators of ``D`` in facet order, as ``labels``."""
     order = _resolve_order(D, order)
     edges = [
         (choices[0], order[i])
