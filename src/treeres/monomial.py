@@ -237,16 +237,15 @@ class MonomialIdeal:
                 raise ValueError("generator over a different variable set")
             if g.is_one():
                 raise ValueError("the unit monomial cannot be a generator")
-        # Divisibility as mask inclusion: on squarefree generators the
-        # support masks are divides' own test, without its check per pair.
+        # h | g needs supp(h) inside supp(g); only such pairs compare
+        # exponents.  No divides call, so no variable check per pair.
         gens = self.generators
-        if all([g._squarefree for g in gens]):
-            masks = [g.support_mask for g in gens]
-        else:
-            masks, _ = exponent_masks(gens)
+        masks = [g.support_mask for g in gens]
         for i, outside in enumerate([~m for m in masks]):
             for j, h in enumerate(masks):
-                if h & outside == 0 and i != j:
+                if h & outside == 0 and i != j and all(
+                    x <= y for x, y in zip(gens[j].exponents, gens[i].exponents)
+                ):
                     raise ValueError(
                         f"not an antichain: {gens[j]} divides {gens[i]}; "
                         "minimalize first"

@@ -244,7 +244,6 @@ class TestIdealInvariants:
         st.lists(nonunit_monomials(), min_size=1, max_size=5),
     ))
     def test_rejects_exactly_what_a_divides_loop_rejects(self, gens):
-        # Squarefree lists take the support masks, the others exponent_masks.
         found = divides_antichain_violation(gens)
         if found is None:
             assert MonomialIdeal(gens[0].vars, tuple(gens)).generators == tuple(gens)
