@@ -8,7 +8,7 @@ Usage:
 from treeres.complexes import f_vector, is_leaf_order
 from treeres.duality import dual_facets, dual_generators
 from treeres.homology import betti, is_exact_frame
-from treeres.monomial import parse_ideal
+from treeres.monomial import lcm, parse_ideal
 from treeres.resolution import (
     build_tree,
     enumerate_trees,
@@ -54,7 +54,8 @@ def main():
     print(f"pd(I) = {table.pd_quotient() - 1}")
 
     alt = floystad_tree(I)
-    degrees = sorted(alt.face_label(f).degree() for f in alt.complex.facets if len(f) == 2)
+    edges = [f for f in alt.complex.facets if len(f) == 2]
+    degrees = sorted(lcm(*map(alt.label_of, f)).degree() for f in edges)
     print(f"\ndegree-ordered spanning construction edge degrees: {degrees}")
     print(f"distinct trees over all leaf orders and joints: {len(list(enumerate_trees(D)))}")
 

@@ -22,9 +22,7 @@ from .complexes import (
     is_connected,
     is_quasi_forest_by_induced,
     is_simplicial_forest,
-    joints,
     leaf_order,
-    subcollection,
 )
 from .duality import (
     ZeroIdeal,
@@ -52,8 +50,6 @@ from .homology import (
     BettiTable,
     betti,
     is_exact_frame,
-    pd_ideal,
-    pd_quotient,
     rank_exact,
     reduced_homology_dims,
 )

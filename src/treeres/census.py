@@ -89,12 +89,6 @@ def complex_from_masks(n: int, masks: tuple[int, ...]) -> SimplicialComplex:
     return SimplicialComplex(vars, tuple(facets))
 
 
-def enumerate_complexes(max_vertices: int) -> Iterator[SimplicialComplex]:
-    for n in range(1, max_vertices + 1):
-        for masks in antichain_covers(n):
-            yield complex_from_masks(n, masks)
-
-
 # n -> one table per permutation of range(n): the image of every mask.
 _PERMUTED_MASKS: dict[int, list[list[int]]] = {}
 

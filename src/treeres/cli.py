@@ -27,6 +27,7 @@ from .monomial import (
     MonomialIdeal,
     ParseError,
     format_ideal,
+    lcm,
     parse_ideal,
     polarize,
 )
@@ -92,7 +93,8 @@ def _tree_text(tree: LabeledComplex) -> str:
     for f in D.facets:
         if len(f) == 2:
             a, b = sorted(f, key=D.vertices.index)
-            lines.append(f"{a} -- {b} [{tree.face_label(f)}]")
+            label = lcm(tree.label_of(a), tree.label_of(b))
+            lines.append(f"{a} -- {b} [{label}]")
     return "\n".join(lines) + "\n"
 
 

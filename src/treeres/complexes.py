@@ -410,51 +410,6 @@ def induced(D: SimplicialComplex, W: Iterable[str]):
     )
 
 
-def subcollection(D: SimplicialComplex, indices: Iterable[int]) -> SimplicialComplex:
-    """Complex generated by the selected facets, order preserved."""
-    idx = list(indices)
-    if not idx:
-        raise ValueError("a subcollection needs at least one facet index")
-    for i in idx:
-        if not 0 <= i < D.q:
-            raise ValueError(f"facet index {i} out of range")
-    chosen = tuple([D.facets[i] for i in idx])
-    present: set[str] = set()
-    for f in chosen:
-        present |= f
-    names = tuple([n for n in D.vertices.names if n in present])
-    return SimplicialComplex(VariableSet(names), chosen)
-
-
-def _facet_index(D: SimplicialComplex, F: Iterable[str]) -> int:
-    fset = frozenset(F)
-    for i, f in enumerate(D.facets):
-        if f == fset:
-            return i
-    raise ValueError(f"{sorted(fset)} is not a facet")
-
-
-def joints(D: SimplicialComplex, F: Iterable[str]) -> list[frozenset[str]]:
-    """Facets G != F with F∩H within G for every other facet H."""
-    i = _facet_index(D, F)
-    return [D.facets[j] for j in _joint_positions(D._facet_masks, i)]
-
-
-def is_leaf(D: SimplicialComplex, F: Iterable[str]) -> bool:
-    i = _facet_index(D, F)
-    return _is_leaf(D._facet_masks, i)
-
-
-def free_vertices(D: SimplicialComplex, F: Iterable[str]) -> frozenset[str]:
-    """Vertices of F lying in no other facet."""
-    i = _facet_index(D, F)
-    others = 0
-    for j, m in enumerate(D._facet_masks):
-        if j != i:
-            others |= m
-    return D._unmask(D._facet_masks[i] & ~others)
-
-
 def leaf_order(D: SimplicialComplex, mode: str = "greedy"):
     """A facet ordering where each facet is a leaf of the preceding prefix.
 

@@ -239,16 +239,6 @@ def betti(I: MonomialIdeal) -> BettiTable:
     return BettiTable(I.vars, tuple(entries))
 
 
-def pd_quotient(I: MonomialIdeal) -> int:
-    """Projective dimension of S/I."""
-    return betti(I).pd_quotient()
-
-
-def pd_ideal(I: MonomialIdeal) -> int:
-    """Projective dimension of the ideal itself: pd(S/I) - 1."""
-    return pd_quotient(I) - 1
-
-
 def betti_to_json(table: BettiTable) -> dict:
     return {
         "vars": list(table.vars.names),
@@ -268,6 +258,8 @@ def betti_from_json(obj: dict) -> BettiTable:
         (e["i"], Monomial(vars, tuple(e["multidegree"])), e["beta"])
         for e in obj["graded"]
     ])
+    if any(type(i) is not int or type(b) is not int for i, _, b in entries):
+        raise ValueError("graded entries need int i and beta")
     table = BettiTable(vars, entries)
     if list(table.totals()) != list(obj["total"]):
         raise ValueError("totals disagree with graded entries")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 
 class ParseError(ValueError):
@@ -157,16 +157,6 @@ def quotient(a: Monomial, b: Monomial) -> Monomial:
     if not divides(b, a):
         raise ValueError(f"{b} does not divide {a}")
     return Monomial(a.vars, tuple([x - y for x, y in zip(a.exponents, b.exponents)]))
-
-
-def lcm_all(monomials: Iterable[Monomial]) -> Monomial:
-    ms = list(monomials)
-    if not ms:
-        raise ValueError("lcm of an empty collection")
-    out = ms[0]
-    for m in ms[1:]:
-        out = lcm(out, m)
-    return out
 
 
 def exponent_masks(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import sub
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 from .complexes import (
     SimplicialComplex,
@@ -35,7 +35,6 @@ from .monomial import (
     divides,
     exponent_masks,
     lcm,
-    lcm_all,
     lcm_closure,
     parse_monomial,
     quotient,
@@ -66,18 +65,6 @@ class LabeledComplex:
     def label_of(self, vertex: str) -> Monomial:
         return self.labels[self.complex.vertices.index(vertex)]
 
-    def face_label(self, face: Iterable[str]) -> Monomial:
-        ms = [self.label_of(v) for v in face]
-        if not ms:
-            return Monomial.one(self.label_vars)
-        return lcm_all(ms)
-
-
-class Entry(NamedTuple):
-    row: int
-    col: int
-    sign: int
-
 
 @dataclass(frozen=True)
 class FreeComplex:
@@ -90,17 +77,17 @@ class FreeComplex:
 
     vars: VariableSet
     modules: tuple[tuple[Monomial, ...], ...]
-    differentials: tuple[tuple[Entry, ...], ...]
+    differentials: tuple[tuple[tuple[int, int, int], ...], ...]
 
     def __post_init__(self):
         if not self.modules or self.modules[0] != (Monomial.one(self.vars),):
             raise ValueError("degree 0 must be the single multidegree 1")
         _check_entries(self.ranks, self.differentials)
         for i, entries in enumerate(self.differentials, start=1):
-            for e in entries:
-                if e.sign not in (1, -1):
+            for row, col, sign in entries:
+                if sign not in (1, -1):
                     raise ValueError("entry signs must be +1 or -1")
-                if not divides(self.modules[i - 1][e.row], self.modules[i][e.col]):
+                if not divides(self.modules[i - 1][row], self.modules[i][col]):
                     raise ValueError(
                         f"row multidegree does not divide column multidegree in d_{i}"
                     )
@@ -113,9 +100,10 @@ class FreeComplex:
     def ranks(self) -> tuple[int, ...]:
         return tuple([len(m) for m in self.modules])
 
-    def entry_monomial(self, i: int, e: Entry) -> Monomial:
+    def entry_monomial(self, i: int, e: tuple[int, int, int]) -> Monomial:
         """The monomial of entry e of d_i: its column over its row multidegree."""
-        return quotient(self.modules[i][e.col], self.modules[i - 1][e.row])
+        row, col, _ = e
+        return quotient(self.modules[i][col], self.modules[i - 1][row])
 
     def boundary_squares_to_zero(self) -> bool:
         """Symbolic check that consecutive differentials compose to zero.
@@ -168,7 +156,7 @@ def homogenize(L: LabeledComplex) -> FreeComplex:
     by_dim, label = _face_labels(L)
     modules = tuple([tuple([label[face] for face in bucket]) for bucket in by_dim])
     diffs = tuple([
-        tuple([*map(Entry._make, _signed_boundary(by_dim, d))])
+        tuple([*_signed_boundary(by_dim, d)])
         for d in range(1, len(by_dim))
     ])
     return FreeComplex(L.label_vars, modules, diffs)
@@ -493,11 +481,13 @@ def free_complex_from_json(obj: dict) -> FreeComplex:
         tuple([Monomial(vars, tuple(exps)) for exps in module])
         for module in obj["multidegrees"]
     ])
-    diffs = tuple([
-        tuple([Entry(e["row"], e["col"], e["sign"]) for e in entries])
-        for entries in obj["differentials"]
-    ])
-    F = FreeComplex(vars, modules, diffs)
+    diffs = []
+    for i, entries in enumerate(obj["differentials"], start=1):
+        triples = tuple([(e["row"], e["col"], e["sign"]) for e in entries])
+        if any(type(v) is not int for triple in triples for v in triple):
+            raise ValueError(f"entries of d_{i} need int row, col and sign")
+        diffs.append(triples)
+    F = FreeComplex(vars, modules, tuple(diffs))
     if list(F.ranks) != list(obj["ranks"]):
         raise ValueError("ranks disagree with module lists")
     # Entry monomials are derived; a stored one must equal its derivation.
@@ -550,6 +540,7 @@ def tree_to_dot(L: LabeledComplex) -> str:
     for f in D.facets:
         if len(f) == 2:
             a, b = sorted(f, key=D.vertices.index)
-            lines.append(f'  {a} -- {b} [label="{L.face_label(f)}"];')
+            label = lcm(L.label_of(a), L.label_of(b))
+            lines.append(f'  {a} -- {b} [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -11,7 +11,6 @@ from treeres.monomial import (
     VariableSet,
     divides,
     lcm,
-    lcm_all,
     minimalize,
     parse_ideal,
     parse_monomial,
@@ -27,6 +26,7 @@ from treeres.complexes import (
     induced,
     is_full_simplex,
 )
+from treeres.census import antichain_covers, complex_from_masks
 from treeres.duality import ZeroIdeal
 from treeres.homology import _mask_homology
 from treeres.resolution import Frame
@@ -71,6 +71,23 @@ def cycle_with_pendants(pendants: int = 8) -> SimplicialComplex:
     return cx(["a", "b", "c", "d"] + [p for _, p in hang], cycle + hang)
 
 
+def census_complexes(max_vertices: int):
+    """Every complex whose facets cover x1..xn, n = 1..max_vertices, in
+    census order: 12 on at most three vertices, 126 on at most four."""
+    for n in range(1, max_vertices + 1):
+        for masks in antichain_covers(n):
+            yield complex_from_masks(n, masks)
+
+
+def face_label(L, face) -> Monomial:
+    """The lcm of the labels of the face's vertices (names), 1 on the empty
+    face: one ``lcm`` per vertex, independent of ``resolution._face_labels``."""
+    out = Monomial.one(L.label_vars)
+    for v in face:
+        out = lcm(out, L.label_of(v))
+    return out
+
+
 def column_fingerprint(F, degree: int = 2):
     """Degree-`degree` matrix of a FreeComplex, canonical up to row and
     column permutation and a global sign per column."""
@@ -78,8 +95,9 @@ def column_fingerprint(F, degree: int = 2):
     cols = F.modules[degree]
     per_col: dict[int, list] = {c: [] for c in range(len(cols))}
     for e in F.differentials[degree - 1]:
-        per_col[e.col].append(
-            (rows[e.row].exponents, F.entry_monomial(degree, e).exponents, e.sign)
+        row, col, sign = e
+        per_col[col].append(
+            (rows[row].exponents, F.entry_monomial(degree, e).exponents, sign)
         )
     out = []
     for c, entries in per_col.items():
@@ -116,10 +134,10 @@ def tuple_homogenize(L) -> tuple[tuple, tuple]:
     """Modules and differentials of ``homogenize(L)`` through the tuple face
     path, each face labeled by the lcm of its vertex labels."""
     index = L.complex.vertices.index
+    names = L.complex.vertices.names
     by_dim = tuple_faces_by_dim([index(v) for v in f] for f in faces(L.complex))
-    one = Monomial.one(L.label_vars)
     modules = tuple(
-        tuple(lcm_all([one, *(L.labels[i] for i in face)]) for face in bucket)
+        tuple(face_label(L, [names[i] for i in face]) for face in bucket)
         for bucket in by_dim
     )
     diffs = tuple(

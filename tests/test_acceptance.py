@@ -22,7 +22,7 @@ from treeres.complexes import (
     leaf_order,
 )
 from treeres.duality import dual_facets, dual_generators
-from treeres.homology import betti, is_exact_frame, pd_ideal
+from treeres.homology import betti, is_exact_frame
 from treeres.monomial import polarize
 from treeres.resolution import (
     build_tree,
@@ -66,7 +66,7 @@ def census4():
             D = complex_from_masks(n, masks)
             full = is_full_simplex(D)
             qf = leaf_order(D, "exhaustive") is not None
-            pd = None if full else pd_ideal(dual_generators(D))
+            pd = None if full else betti(dual_generators(D)).pd_quotient() - 1
             out.append((n, masks, D, full, qf, pd))
     return out
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,16 +7,19 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+import hypothesis.strategies as st
 
 import treeres
 from treeres import cli
 from treeres.cli import main
 from treeres.complexes import complex_from_json, complex_to_json
 from treeres.homology import betti_from_json
-from treeres.monomial import POLARIZE_GUARD
+from treeres.monomial import POLARIZE_GUARD, VariableSet, format_ideal
 from treeres.resolution import free_complex_from_json, labeled_complex_from_json
 
 from helpers import SIX_VAR_IDEAL_TEXT, STAR_IDEAL_TEXT, cycle_with_pendants
+from strategies import complexes, ideals, nonunit_monomials, squarefree_ideals
 
 HOLLOW_JSON = json.dumps(
     {"vertices": ["a", "b", "c"], "facets": [["a", "b"], ["b", "c"], ["c", "a"]]}
@@ -386,3 +391,74 @@ class TestParserReuse:
         assert main(["verify", "--input", six_var_file]) == 0
         assert "pd(I)=1" in capsys.readouterr().out
         assert len(built) == 1
+
+
+# Every subcommand but census, in each output form it offers.
+FUZZ_ARGV = [
+    ["quasiforest"], ["pd"], ["verify"],
+    ["tree", "--joint", "all"], ["tree", "--joint", "all", "--format", "json"],
+    *([cmd] for cmd in ("dual", "sr", "taylor", "betti", "polarize")),
+    *([cmd, "--format", "json"] for cmd in ("dual", "sr", "taylor", "betti", "polarize")),
+    *([cmd, "--dot", "out.dot"] for cmd in ("tree", "floystad", "resolve")),
+    *([cmd, "--format", "json"] for cmd in ("tree", "floystad", "resolve")),
+]
+
+FIVE = VariableSet(tuple(f"x{i}" for i in range(1, 6)))
+IDEAL_TEXT = st.one_of(
+    squarefree_ideals(FIVE).map(format_ideal),
+    ideals(FIVE, max_exp=3).map(format_ideal),
+    # Generator lists that need not be antichains.
+    st.lists(nonunit_monomials(FIVE, max_exp=2), min_size=1, max_size=4).map(
+        lambda gens: "vars x1 x2 x3 x4 x5\n" + ", ".join(map(str, gens)) + "\n"
+    ),
+)
+IDEAL_CHARACTERS = "x123456*^,;#\n vars0{}[]\"-"
+
+
+@st.composite
+def spliced_ideal_text(draw) -> str:
+    """An ideal's text with a few characters replaced."""
+    text = draw(IDEAL_TEXT)
+    start = draw(st.integers(0, len(text)))
+    end = draw(st.integers(start, min(len(text), start + 3)))
+    return text[:start] + draw(st.text(IDEAL_CHARACTERS, max_size=3)) + text[end:]
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 6) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(["vertices", "facets", "vars", "labels"]) | st.text(max_size=3),
+        inner,
+        max_size=4,
+    ),
+    max_leaves=12,
+)
+
+FUZZ_INPUTS = st.one_of(
+    JSON_VALUES.map(json.dumps),
+    complexes(max_vertices=5, ambient=True).map(lambda D: json.dumps(complex_to_json(D))),
+    IDEAL_TEXT,
+    spliced_ideal_text(),
+    st.text(IDEAL_CHARACTERS, max_size=12),
+)
+
+
+class TestFuzz:
+    """Any input to any subcommand but census: exit 0, 1 or 2, nothing raised.
+
+    Ideals have at most five variables and four generators, complexes at
+    most five vertices and four facets, so every command answers at once.
+    A ``verify`` abort writes its reproducer into the working directory,
+    here a temporary one.
+    """
+
+    @given(argv=st.sampled_from(FUZZ_ARGV), text=FUZZ_INPUTS)
+    @settings(
+        max_examples=300, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_exit_code_in_0_1_2(self, monkeypatch, tmp_path, argv, text):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) in (0, 1, 2)

@@ -12,30 +12,29 @@ from treeres.complexes import (
     connected_components,
     f_vector,
     faces,
-    free_vertices,
     full_simplex,
     induced,
     is_connected,
-    is_leaf,
     is_leaf_order,
     is_quasi_forest_by_induced,
     is_simplicial_forest,
-    joints,
     leaf_order,
-    subcollection,
     complex_to_json,
     complex_from_json,
     _faces_by_dim,
+    _has_leaf,
+    _is_leaf,
+    _joint_positions,
     _signed_boundary,
     _subcollections_have_leaves,
 )
-from treeres.census import enumerate_complexes
 from treeres.duality import dual_facets
 from treeres.homology import reduced_homology_dims
 from treeres.monomial import VariableSet
 from treeres.resolution import LabeledComplex, homogenize, is_minimal_support
 
 from helpers import (
+    census_complexes,
     cx,
     facet_pair_components,
     hollow_triangle,
@@ -157,74 +156,56 @@ class TestInduced:
 
 
 class TestSubcollection:
-    def test_selects_facets_in_order(self):
-        D = six_var_dual()
-        sub = subcollection(D, [0, 1])
-        assert sub.facets == (D.facets[0], D.facets[1])
-
-    def test_all_indices_identity(self):
-        D = six_var_dual()
-        assert subcollection(D, range(D.q)) == D
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            subcollection(six_var_dual(), [7])
-
     def test_prefixes_support_leaf_orders(self):
-        D = six_var_dual()
-        for i in range(D.q):
-            prefix = subcollection(D, range(i + 1))
-            assert is_leaf(prefix, D.facets[i])
+        masks = six_var_dual()._facet_masks
+        for i in range(len(masks)):
+            assert _is_leaf(masks[: i + 1], i)
 
 
 class TestJointsAndFreeVertices:
+    """Leaves and joints on facet masks: facet j is a joint of facet i when
+    it holds i's intersection with every other facet."""
+
     def test_six_var_dual_joints_of_last_facet(self):
-        D = six_var_dual()
-        f4 = D.facets[3]  # {x1,x2,x3}
-        assert joints(D, f4) == [D.facets[1]]  # only {x2,x3,x5}
+        D = six_var_dual()  # facet 3 is {x1,x2,x3}
+        assert _joint_positions(D._facet_masks, 3) == [1]  # only {x2,x3,x5}
 
     def test_single_facet_is_leaf_with_no_joints(self):
-        D = cx("abc", [("a", "b", "c")])
-        assert joints(D, ("a", "b", "c")) == []
-        assert is_leaf(D, ("a", "b", "c"))
+        masks = cx("abc", [("a", "b", "c")])._facet_masks
+        assert _joint_positions(masks, 0) == []
+        assert _is_leaf(masks, 0)
 
     def test_star_every_facet_joins_every_other(self):
-        D = star_dual()
-        for f in D.facets:
-            assert set(joints(D, f)) == set(D.facets) - {f}
-
-    def test_free_vertices_of_last_facet(self):
-        D = six_var_dual()
-        assert free_vertices(D, D.facets[3]) == frozenset({"x1"})
-
-    def test_single_facet_all_free(self):
-        D = cx("abc", [("a", "b", "c")])
-        assert free_vertices(D, ("a", "b", "c")) == frozenset("abc")
-
-    def test_not_a_facet_errors(self):
-        with pytest.raises(ValueError):
-            joints(six_var_dual(), ("x1",))
+        masks = star_dual()._facet_masks
+        for i in range(len(masks)):
+            assert _joint_positions(masks, i) == [j for j in range(len(masks)) if j != i]
 
     def test_isolated_facets_are_leaves_with_every_joint(self):
         # Empty intersections sit inside every facet, so the definition
         # makes disjoint facets leaves jointed by everything else.
-        D = cx("ab", [("a",), ("b",)])
-        assert is_leaf(D, ("a",))
-        assert joints(D, ("a",)) == [frozenset({"b"})]
+        masks = cx("ab", [("a",), ("b",)])._facet_masks
+        assert _is_leaf(masks, 0)
+        assert _joint_positions(masks, 0) == [1]
 
     @given(complexes())
     def test_leaves_have_free_vertices(self, D):
-        for f in D.facets:
-            if is_leaf(D, f):
-                assert free_vertices(D, f) or D.q == 1
+        masks = D._facet_masks
+        for i, m in enumerate(masks):
+            if _is_leaf(masks, i):
+                others = 0
+                for j, other in enumerate(masks):
+                    if j != i:
+                        others |= other
+                assert m & ~others or D.q == 1
 
     @given(complexes())
     def test_joint_contains_all_intersections(self, D):
-        for f in D.facets:
-            for g in joints(D, f):
-                for h in D.facets:
-                    if h != f:
-                        assert f & h <= g
+        masks = D._facet_masks
+        for i, m in enumerate(masks):
+            for j in _joint_positions(masks, i):
+                for k, h in enumerate(masks):
+                    if k != i:
+                        assert m & h & ~masks[j] == 0
 
 
 def backtracking_order(masks):
@@ -347,8 +328,7 @@ class TestSimplicialForest:
         assert leaf_order(D, "exhaustive") is not None
         assert is_quasi_forest_by_induced(D)
         assert not is_simplicial_forest(D)
-        outer = subcollection(D, [0, 1, 2])
-        assert not any(is_leaf(outer, f) for f in outer.facets)
+        assert not _has_leaf(D._facet_masks[:3])
 
 
 class TestGraphForest:
@@ -414,7 +394,7 @@ class TestMaskOracles:
 
     def test_every_complex_up_to_five_vertices(self):
         count = 0
-        for D in enumerate_complexes(5):
+        for D in census_complexes(5):
             assert faces(D) == name_faces(D), D
             assert connected_components(D) == facet_pair_components(D), D
             count += 1

@@ -1,7 +1,6 @@
 import pytest
 from hypothesis import given
 
-from treeres.census import enumerate_complexes
 from treeres.complexes import (
     EmptyComplex,
     SimplicialComplex,
@@ -20,6 +19,7 @@ from treeres.duality import (
 from treeres.monomial import Monomial, MonomialIdeal, VariableSet, parse_ideal
 
 from helpers import (
+    census_complexes,
     cx,
     hollow_triangle,
     six_var_ideal,
@@ -145,7 +145,7 @@ class TestSweepOracles:
 
     def test_every_complex_up_to_five_vertices(self):
         count = 0
-        for D in enumerate_complexes(5):
+        for D in census_complexes(5):
             assert _same_in_order(alexander_dual(D), sweep_alexander_dual(D)), D
             I = sr_ideal(D)
             assert _same_in_order(I, sweep_sr_ideal(D)), D

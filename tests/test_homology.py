@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from treeres.census import enumerate_complexes
 from treeres.complexes import (
     EmptyComplex,
     VoidComplex,
@@ -23,8 +22,6 @@ from treeres.homology import (
     betti_to_json,
     _mask_homology,
     is_exact_frame,
-    pd_ideal,
-    pd_quotient,
     rank_exact,
     reduced_homology_dims,
 )
@@ -41,6 +38,7 @@ from treeres.resolution import (
 )
 
 from helpers import (
+    census_complexes,
     cx,
     frame_from_matrices,
     hollow_triangle,
@@ -350,8 +348,8 @@ class TestBettiOracle:
         # Hand check: at the top multidegree the strict-divisor complex is
         # the 4-cycle graph, so homological degree 3 survives.
         assert table.totals() == (1, 4, 4, 1)
-        assert pd_ideal(I) == 2
-        assert pd_quotient(I) == 3
+        assert betti(I).pd_quotient() - 1 == 2
+        assert betti(I).pd_quotient() == 3
 
     def test_first_betti_numbers_are_the_generators(self):
         I = six_var_ideal()
@@ -374,7 +372,7 @@ class TestBettiOracle:
         V = VariableSet(("x",))
         I = parse_ideal("x^3\n")
         assert betti(I).totals() == (1, 1)
-        assert pd_ideal(I) == 0
+        assert betti(I).pd_quotient() - 1 == 0
 
     def test_non_squarefree_with_syzygy(self):
         # (x^2, xy): S/I resolved by 0 -> S(-x^2y) -> S^2 -> S -> 0.
@@ -434,7 +432,7 @@ class TestBettiOracleFixedInputs:
 
     def test_every_census_dual_up_to_four_vertices(self):
         count = 0
-        for D in enumerate_complexes(4):
+        for D in census_complexes(4):
             if is_full_simplex(D):
                 continue
             I = dual_generators(D)
@@ -488,6 +486,17 @@ class TestBettiTableJson:
         with pytest.raises(ValueError, match="not an int"):
             betti_from_json(payload)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("i", True), ("i", 1.0), ("i", "1"), ("beta", True), ("beta", 1.0)],
+        ids=["i-bool", "i-float", "i-str", "beta-bool", "beta-float"],
+    )
+    def test_degree_and_count_not_ints_rejected(self, key, value):
+        payload = betti_to_json(betti(parse_ideal("vars x y\nx*y\n")))
+        payload["graded"][1][key] = value
+        with pytest.raises(ValueError, match="int i and beta"):
+            betti_from_json(payload)
+
 
 class TestPolarizationPreservesPd:
     def test_cube(self):
@@ -495,14 +504,14 @@ class TestPolarizationPreservesPd:
 
         I = parse_ideal("x^3\n")
         P, _ = polarize(I)
-        assert pd_quotient(I) == pd_quotient(P) == 1
+        assert betti(I).pd_quotient() == betti(P).pd_quotient() == 1
 
     def test_mixed_example(self):
         from treeres.monomial import polarize
 
         I = parse_ideal("x^2*y, y^2\n")
         P, _ = polarize(I)
-        assert pd_quotient(I) == pd_quotient(P)
+        assert betti(I).pd_quotient() == betti(P).pd_quotient()
 
     def test_exhaustive_three_variable_census(self):
         from treeres.monomial import polarize
@@ -513,5 +522,5 @@ class TestPolarizationPreservesPd:
                 continue
             checked += 1
             P, _ = polarize(I)
-            assert pd_quotient(I) == pd_quotient(P), str(I)
+            assert betti(I).pd_quotient() == betti(P).pd_quotient(), str(I)
         assert checked == 960

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from treeres.census import enumerate_complexes
 from treeres.cli import _tree_for_ideal
 from treeres.complexes import (
     SimplicialComplex,
@@ -25,7 +24,6 @@ from treeres.monomial import (
     parse_ideal,
 )
 from treeres.resolution import (
-    Entry,
     Frame,
     FreeComplex,
     LabeledComplex,
@@ -48,8 +46,10 @@ from treeres.resolution import (
 )
 
 from helpers import (
+    census_complexes,
     column_fingerprint,
     cx,
+    face_label,
     facet_pair_components,
     frame_from_matrices,
     frame_matrices,
@@ -97,7 +97,7 @@ class TestHomogenize:
         F = homogenize(L)
         assert F.ranks == (1, 1)
         entry = F.differentials[0][0]
-        assert (entry.row, entry.col, entry.sign) == (0, 0, 1)
+        assert entry == (0, 0, 1)
         assert str(F.entry_monomial(1, entry)) == "x*y"
 
     @given(st.lists(nonunit_monomials(), min_size=3, max_size=3))
@@ -121,8 +121,9 @@ class TestHomogenize:
         F = homogenize(build_tree(dual_facets(six_var_ideal())))
         for i in range(1, F.length + 1):
             for e in F.differentials[i - 1]:
-                top = F.modules[i][e.col]
-                bottom = F.modules[i - 1][e.row]
+                row, col, _ = e
+                top = F.modules[i][col]
+                bottom = F.modules[i - 1][row]
                 assert tuple(
                     a + b
                     for a, b in zip(bottom.exponents, F.entry_monomial(i, e).exponents)
@@ -134,7 +135,7 @@ class TestTaylor:
         F = taylor(parse_ideal("vars x1 x2\nx1\nx2\n"))
         assert F.ranks == (1, 2, 1)
         assert [str(m) for m in F.modules[2]] == ["x1*x2"]
-        signs = sorted(e.sign for e in F.differentials[1])
+        signs = sorted(sign for _, _, sign in F.differentials[1])
         assert signs == [-1, 1]
 
     @given(squarefree_ideals(VariableSet(tuple(f"x{i}" for i in range(1, 6))),
@@ -247,7 +248,7 @@ class TestDivisorOracle:
 
     def test_every_tree_of_the_census_quasi_forests(self):
         trees = failing = 0
-        for D in enumerate_complexes(5):
+        for D in census_complexes(5):
             if is_full_simplex(D) or leaf_order(D) is None:
                 continue
             for T in enumerate_trees(D):
@@ -341,21 +342,21 @@ def _minimal_support_by_face_labels(L):
     names = L.complex.vertices.names
     for face in faces(L.complex):
         key = tuple(sorted(index(v) for v in face))
-        big = L.face_label(names[i] for i in key)
+        big = face_label(L, [names[i] for i in key])
         if len(key) == 1:
             if big.is_one():
                 return False
             continue
         for pos in range(len(key)):
             sub = key[:pos] + key[pos + 1:]
-            if L.face_label(names[i] for i in sub) == big:
+            if face_label(L, [names[i] for i in sub]) == big:
                 return False
     return True
 
 
 class TestFaceLabels:
     """homogenize and is_minimal_support label each face by one lcm of a
-    smaller face's label; face_label is the lcm over all its vertices."""
+    smaller face's label; helpers.face_label is the lcm over all its vertices."""
 
     @given(labeled_forests() | ideals().map(_labeled_simplex))
     def test_module_multidegrees_are_face_labels(self, L):
@@ -364,7 +365,7 @@ class TestFaceLabels:
         # The empty face labels the degree-0 module with 1.
         keys = [()] + sorted(tuple(sorted(map(index, f))) for f in faces(L.complex))
         assert homogenize(L).modules == tuple(
-            tuple(L.face_label(names[i] for i in key) for key in keys if len(key) == size)
+            tuple(face_label(L, [names[i] for i in key]) for key in keys if len(key) == size)
             for size in range(max(map(len, keys)) + 1)
         )
 
@@ -473,7 +474,7 @@ class TestFloystad:
         I = six_var_ideal()
         T = floystad_tree(I)
         degrees = sorted(
-            T.face_label(f).degree() for f in T.complex.facets if len(f) == 2
+            face_label(T, f).degree() for f in T.complex.facets if len(f) == 2
         )
         assert degrees == [4, 4, 4]
         assert supports_resolution(T)
@@ -603,7 +604,7 @@ class TestSerialization:
     def test_row_not_dividing_column_rejected(self):
         V = VariableSet(("x1", "x2"))
         one, x1, x2 = Monomial.one(V), mono(V, "x1"), mono(V, "x2")
-        entry = Entry(0, 0, 1)
+        entry = (0, 0, 1)
         FreeComplex(V, ((one,), (x1,)), ((entry,),))
         with pytest.raises(ValueError, match="does not divide"):
             FreeComplex(V, ((one,), (x1,), (x2,)), ((entry,), (entry,)))
@@ -625,6 +626,17 @@ class TestSerialization:
         payload = free_complex_to_json(taylor(parse_ideal("vars x1 x2\nx1\nx2\n")))
         payload["multidegrees"][1][0] = degree
         with pytest.raises(ValueError, match="not an int"):
+            free_complex_from_json(payload)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("sign", True), ("sign", 1.0), ("row", 0.0), ("col", "0")],
+        ids=["sign-bool", "sign-float", "row-float", "col-str"],
+    )
+    def test_free_complex_entry_not_ints_rejected(self, key, value):
+        payload = free_complex_to_json(taylor(parse_ideal("vars x1 x2\nx1\nx2\n")))
+        payload["differentials"][0][0][key] = value
+        with pytest.raises(ValueError, match="d_1 need int row, col and sign"):
             free_complex_from_json(payload)
 
     def test_labeled_complex_round_trip(self):
