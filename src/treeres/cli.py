@@ -33,7 +33,6 @@ from .monomial import (
 )
 from .resolution import (
     LabeledComplex,
-    _default_order,
     _tree_on,
     build_tree,
     differentials_in_maximal_ideal,
@@ -211,7 +210,10 @@ def _tree_for_ideal(I: MonomialIdeal) -> LabeledComplex:
     are the dual's complement generators, in facet order."""
     if I.q == 1:
         return floystad_tree(I)  # single labeled vertex
-    return _tree_on(dual_facets(I), I.generators)
+    found = _tree_on(dual_facets(I), I.generators)
+    if found is None:
+        raise ValueError("not a quasi-forest: no leaf order exists")
+    return found[1]
 
 
 def cmd_resolve(args) -> int:
@@ -326,12 +328,12 @@ def cmd_verify(args) -> int:
         return 0
 
     D = dual_facets(I)
-    order = _default_order(D)
-    qf = order is not None
+    found = _tree_on(D, I.generators)
+    qf = found is not None
 
     tree_ok = False
     if qf:
-        tree = _tree_on(D, I.generators, order)
+        order, tree = found
         tree_ok = supports_resolution(tree) and is_minimal_support(tree)
 
     if not (pd_le_1 == qf == tree_ok):

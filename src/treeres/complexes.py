@@ -297,6 +297,23 @@ def _is_leaf(masks: Sequence[int], i: int) -> bool:
     return len(masks) == 1 or bool(_joint_positions(masks, i))
 
 
+def _step_joints(
+    masks: Sequence[int], order: Sequence[int]
+) -> list[list[int]] | None:
+    """For each step i >= 1 of the order, the facets (by index) that are
+    joints of facet order[i] in the prefix, earliest in the order first;
+    None at the first step whose facet has no joint there."""
+    prefix = [masks[order[0]]]
+    steps = []
+    for i in range(1, len(order)):
+        prefix.append(masks[order[i]])
+        joints = _joint_positions(prefix, i)
+        if not joints:
+            return None
+        steps.append([order[u] for u in joints])
+    return steps
+
+
 def _has_leaf(masks: Sequence[int]) -> bool:
     return any(_is_leaf(masks, i) for i in range(len(masks)))
 
@@ -432,14 +449,9 @@ def all_leaf_orders(D: SimplicialComplex) -> Iterator[tuple[int, ...]]:
 
 def is_leaf_order(D: SimplicialComplex, order: Sequence[int]) -> bool:
     order = list(order)
-    if sorted(order) != list(range(D.q)):
-        return False
-    masks = D._facet_masks
-    for i in range(len(order)):
-        prefix = [masks[j] for j in order[: i + 1]]
-        if not _is_leaf(prefix, i):
-            return False
-    return True
+    return sorted(order) == list(range(D.q)) and (
+        _step_joints(D._facet_masks, order) is not None
+    )
 
 
 def is_quasi_forest_by_induced(D: SimplicialComplex) -> bool:

@@ -24,7 +24,6 @@ from .complexes import (
     VoidComplex,
     _face_masks,
     _faces_by_dim,
-    _is_name_list,
     _maximal,
     _signed_boundary,
     _submasks,
@@ -248,19 +247,3 @@ def betti_to_json(table: BettiTable) -> dict:
             for i, m, b in table.entries
         ],
     }
-
-
-def betti_from_json(obj: dict) -> BettiTable:
-    if not isinstance(obj, dict) or not _is_name_list(obj.get("vars")):
-        raise ValueError("betti JSON needs 'vars' as a list of names")
-    vars = VariableSet(tuple(obj["vars"]))
-    entries = tuple([
-        (e["i"], Monomial(vars, tuple(e["multidegree"])), e["beta"])
-        for e in obj["graded"]
-    ])
-    if any(type(i) is not int or type(b) is not int for i, _, b in entries):
-        raise ValueError("graded entries need int i and beta")
-    table = BettiTable(vars, entries)
-    if list(table.totals()) != list(obj["total"]):
-        raise ValueError("totals disagree with graded entries")
-    return table

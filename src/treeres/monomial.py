@@ -151,14 +151,6 @@ def lcm(a: Monomial, b: Monomial) -> Monomial:
     return Monomial(a.vars, tuple([*map(max, a.exponents, b.exponents)]))
 
 
-def quotient(a: Monomial, b: Monomial) -> Monomial:
-    """Exact division a / b; requires b | a."""
-    _check_same_vars(a, b)
-    if not divides(b, a):
-        raise ValueError(f"{b} does not divide {a}")
-    return Monomial(a.vars, tuple([x - y for x, y in zip(a.exponents, b.exponents)]))
-
-
 def exponent_masks(
     monomials: Sequence[Monomial],
 ) -> tuple[list[int], tuple[tuple[int, ...], ...]]:
@@ -425,18 +417,3 @@ def format_ideal(I: MonomialIdeal) -> str:
     lines = ["vars " + " ".join(I.vars.names)]
     lines.extend(str(g) for g in I.generators)
     return "\n".join(lines) + "\n"
-
-
-def parse_monomial(vars: VariableSet, text: str) -> Monomial:
-    """Parse a single '*'-separated monomial over a known variable set."""
-    stripped = text.strip()
-    if stripped == "1":
-        return Monomial.one(vars)
-    powers: dict[str, int] = {}
-    for piece in stripped.split("*"):
-        m = _FACTOR_RE.match(piece)
-        if not m:
-            raise ValueError(f"bad factor {piece.strip()!r} in {text!r}")
-        name, exp = m.group(1), int(m.group(2) or 1)
-        powers[name] = powers.get(name, 0) + exp
-    return Monomial.from_powers(vars, powers)

@@ -18,11 +18,9 @@ from .complexes import (
     _face_masks,
     _faces_by_dim,
     _forest_edges,
-    _is_name_list,
-    _joint_positions,
     _signed_boundary,
+    _step_joints,
     _vertex_components,
-    is_leaf_order,
     is_simplicial_forest,
     leaf_order,
     all_leaf_orders,
@@ -36,8 +34,6 @@ from .monomial import (
     exponent_masks,
     lcm,
     lcm_closure,
-    parse_monomial,
-    quotient,
 )
 
 TAYLOR_GUARD = 20
@@ -99,11 +95,6 @@ class FreeComplex:
     @property
     def ranks(self) -> tuple[int, ...]:
         return tuple([len(m) for m in self.modules])
-
-    def entry_monomial(self, i: int, e: tuple[int, int, int]) -> Monomial:
-        """The monomial of entry e of d_i: its column over its row multidegree."""
-        row, col, _ = e
-        return quotient(self.modules[i][col], self.modules[i - 1][row])
 
     def boundary_squares_to_zero(self) -> bool:
         """Symbolic check that consecutive differentials compose to zero.
@@ -300,55 +291,36 @@ def _tree_complex(q: int, edges: Sequence[tuple[int, int]]) -> SimplicialComplex
     return SimplicialComplex(verts, facets)
 
 
-def _resolve_order(D: SimplicialComplex, order):
-    if order is not None:
-        order = tuple(order)
-        if not is_leaf_order(D, order):
-            raise ValueError("the given order is not a leaf order")
-        return order
-    found = _default_order(D)
-    if found is None:
-        raise ValueError("not a quasi-forest: no leaf order exists")
-    return found
-
-
-def _default_order(D: SimplicialComplex) -> tuple[int, ...] | None:
-    """The identity order when it is a leaf order, else the greedy one (None if none)."""
-    identity = tuple(range(D.q))
-    return identity if is_leaf_order(D, identity) else leaf_order(D, "greedy")
-
-
-def _step_joints(D: SimplicialComplex, order: Sequence[int]) -> list[list[int]]:
-    """For each step i >= 1 of a leaf order, the facets (by index) that are
-    joints of facet order[i] in the prefix, earliest in the order first."""
-    masks = D._facet_masks
-    return [
-        [order[u] for u in _joint_positions([masks[order[j]] for j in range(i + 1)], i)]
-        for i in range(1, D.q)
-    ]
-
-
-def build_tree(D: SimplicialComplex, order=None) -> LabeledComplex:
+def build_tree(D: SimplicialComplex) -> LabeledComplex:
     """Tree on one vertex per facet, labeled by the complement generators.
 
-    Walks the leaf order; each new vertex is joined to the earliest joint
-    of its facet in the prefix subcollection.  ``enumerate_trees`` gives
-    every tree across all leaf orders and joint choices.
+    Walks a leaf order (the identity when it is one, else the greedy
+    order); each new vertex is joined to the earliest joint of its facet
+    in the prefix subcollection.  ``enumerate_trees`` gives every tree
+    across all leaf orders and joint choices.
     """
-    return _tree_on(D, dual_generators(D).generators, order)
+    found = _tree_on(D, dual_generators(D).generators)
+    if found is None:
+        raise ValueError("not a quasi-forest: no leaf order exists")
+    return found[1]
 
 
 def _tree_on(
-    D: SimplicialComplex, labels: Sequence[Monomial], order=None
-) -> LabeledComplex:
-    """``build_tree(D, order)`` for a caller that already holds the
-    complement generators of ``D`` in facet order, as ``labels``."""
-    order = _resolve_order(D, order)
-    edges = [
-        (choices[0], order[i])
-        for i, choices in enumerate(_step_joints(D, order), start=1)
-    ]
-    return LabeledComplex(_tree_complex(D.q, edges), labels)
+    D: SimplicialComplex, labels: Sequence[Monomial]
+) -> tuple[tuple[int, ...], LabeledComplex] | None:
+    """The leaf order ``build_tree(D)`` walks and the tree it builds, for a
+    caller that already holds the complement generators of ``D`` in facet
+    order, as ``labels``; None when ``D`` has no leaf order."""
+    masks = D._facet_masks
+    order = tuple(range(D.q))
+    steps = _step_joints(masks, order)
+    if steps is None:
+        order = leaf_order(D, "greedy")
+        if order is None:
+            return None
+        steps = _step_joints(masks, order)
+    edges = [(joints[0], order[i]) for i, joints in enumerate(steps, start=1)]
+    return order, LabeledComplex(_tree_complex(D.q, edges), labels)
 
 
 def enumerate_trees(D: SimplicialComplex) -> Iterator[LabeledComplex]:
@@ -358,7 +330,7 @@ def enumerate_trees(D: SimplicialComplex) -> Iterator[LabeledComplex]:
 
     for order in all_leaf_orders(D):
         trees: list[tuple[tuple[int, int], ...]] = [()]  # edges of each tree
-        for i, joints in enumerate(_step_joints(D, order), start=1):
+        for i, joints in enumerate(_step_joints(D._facet_masks, order), start=1):
             trees = [(*edges, (j, order[i])) for edges in trees for j in joints]
         for edges in trees:
             key = frozenset([tuple(sorted(e)) for e in edges])
@@ -451,8 +423,8 @@ def frame_to_graph(fr: Frame):
 
 def free_complex_to_json(F: FreeComplex) -> dict:
     """Each entry's monomial is its column exponents minus its row
-    exponents: ``FreeComplex`` has checked that the row divides the column,
-    so this is ``entry_monomial`` without a ``Monomial`` per entry."""
+    exponents, exact because ``FreeComplex`` has checked that the row
+    divides the column."""
     exps = [[m.exponents for m in module] for module in F.modules]
     return {
         "vars": list(F.vars.names),
@@ -473,31 +445,6 @@ def free_complex_to_json(F: FreeComplex) -> dict:
     }
 
 
-def free_complex_from_json(obj: dict) -> FreeComplex:
-    if not isinstance(obj, dict) or not _is_name_list(obj.get("vars")):
-        raise ValueError("free complex JSON needs 'vars' as a list of names")
-    vars = VariableSet(tuple(obj["vars"]))
-    modules = tuple([
-        tuple([Monomial(vars, tuple(exps)) for exps in module])
-        for module in obj["multidegrees"]
-    ])
-    diffs = []
-    for i, entries in enumerate(obj["differentials"], start=1):
-        triples = tuple([(e["row"], e["col"], e["sign"]) for e in entries])
-        if any(type(v) is not int for triple in triples for v in triple):
-            raise ValueError(f"entries of d_{i} need int row, col and sign")
-        diffs.append(triples)
-    F = FreeComplex(vars, modules, tuple(diffs))
-    if list(F.ranks) != list(obj["ranks"]):
-        raise ValueError("ranks disagree with module lists")
-    # Entry monomials are derived; a stored one must equal its derivation.
-    for i, entries in enumerate(obj["differentials"], start=1):
-        for e, stored in zip(F.differentials[i - 1], entries):
-            if tuple(stored["monomial"]) != F.entry_monomial(i, e).exponents:
-                raise ValueError(f"entry monomial in d_{i} is not column/row multidegree")
-    return F
-
-
 def labeled_complex_to_json(L: LabeledComplex) -> dict:
     D = L.complex
     return {
@@ -508,27 +455,6 @@ def labeled_complex_to_json(L: LabeledComplex) -> dict:
             v: str(m) for v, m in zip(D.vertices.names, L.labels)
         },
     }
-
-
-def labeled_complex_from_json(obj: dict) -> LabeledComplex:
-    if not isinstance(obj, dict) or not (
-        _is_name_list(obj.get("vars"))
-        and _is_name_list(obj.get("vertices"))
-        and isinstance(obj.get("facets"), list)
-        and all(map(_is_name_list, obj["facets"]))
-        and isinstance(obj.get("labels"), dict)
-        and all(isinstance(obj["labels"].get(v), str) for v in obj["vertices"])
-    ):
-        raise ValueError(
-            "labeled complex JSON needs 'vars' and 'vertices' as lists of "
-            "names, 'facets' as a list of name lists and 'labels' mapping "
-            "each vertex to a monomial"
-        )
-    vars = VariableSet(tuple(obj["vars"]))
-    verts = VariableSet(tuple(obj["vertices"]))
-    D = SimplicialComplex(verts, tuple([frozenset(f) for f in obj["facets"]]))
-    labels = tuple([parse_monomial(vars, obj["labels"][v]) for v in verts.names])
-    return LabeledComplex(D, labels)
 
 
 def tree_to_dot(L: LabeledComplex) -> str:

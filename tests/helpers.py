@@ -13,7 +13,6 @@ from treeres.monomial import (
     lcm,
     minimalize,
     parse_ideal,
-    parse_monomial,
 )
 from treeres.complexes import (
     EmptyComplex,
@@ -28,8 +27,8 @@ from treeres.complexes import (
 )
 from treeres.census import antichain_covers, complex_from_masks
 from treeres.duality import ZeroIdeal
-from treeres.homology import _mask_homology
-from treeres.resolution import Frame
+from treeres.homology import BettiTable, _mask_homology
+from treeres.resolution import Frame, FreeComplex, LabeledComplex, taylor
 
 SIX_VAR_IDEAL_TEXT = "vars x1 x2 x3 x4 x5 x6\nx1*x3*x6, x1*x4*x6, x1*x2*x4, x4*x5*x6\n"
 STAR_IDEAL_TEXT = "vars x1 x2 x3 x4 x5\nx1*x2*x3, x1*x2*x4, x1*x3*x4, x2*x3*x4\n"
@@ -50,7 +49,19 @@ def variables_ideal(q: int) -> MonomialIdeal:
 
 
 def mono(vars: VariableSet, text: str) -> Monomial:
-    return parse_monomial(vars, text)
+    """The monomial written as 1 or as a '*'-separated product of name
+    and name^k factors."""
+    powers: dict[str, int] = {}
+    if text.strip() != "1":
+        for factor in text.split("*"):
+            name, _, exp = factor.strip().partition("^")
+            powers[name] = powers.get(name, 0) + int(exp or 1)
+    return Monomial.from_powers(vars, powers)
+
+
+def exponents_over(top: Monomial, bottom: Monomial) -> tuple[int, ...]:
+    """The exponents of top / bottom, one subtraction per variable."""
+    return tuple(t - b for t, b in zip(top.exponents, bottom.exponents))
 
 
 def cx(names, facets) -> SimplicialComplex:
@@ -94,10 +105,9 @@ def column_fingerprint(F, degree: int = 2):
     rows = F.modules[degree - 1]
     cols = F.modules[degree]
     per_col: dict[int, list] = {c: [] for c in range(len(cols))}
-    for e in F.differentials[degree - 1]:
-        row, col, sign = e
+    for row, col, sign in F.differentials[degree - 1]:
         per_col[col].append(
-            (rows[row].exponents, F.entry_monomial(degree, e).exponents, sign)
+            (rows[row].exponents, exponents_over(cols[col], rows[row]), sign)
         )
     out = []
     for c, entries in per_col.items():
@@ -106,6 +116,56 @@ def column_fingerprint(F, degree: int = 2):
             entries = [(r, m, -s) for r, m, s in entries]
         out.append((cols[c].exponents, tuple(entries)))
     return tuple(sorted(out))
+
+
+def flipped_taylor() -> FreeComplex:
+    """The Taylor complex of x1, x2 with its first d_2 sign flipped: every
+    row still divides its column, but d_1 d_2 != 0."""
+    F = taylor(parse_ideal("vars x1 x2\nx1\nx2\n"))
+    d1, ((row, col, sign), *rest) = F.differentials
+    return FreeComplex(F.vars, F.modules, (d1, ((row, col, -sign), *rest)))
+
+
+# ---------------------------------------------------------------------------
+# Readers of the JSON that the encoders write and the CLI prints.
+# ---------------------------------------------------------------------------
+
+def read_free_complex(obj) -> FreeComplex:
+    """The FreeComplex of ``free_complex_to_json`` output.  Construction
+    checks the entries; each stored entry monomial must be its column
+    exponents minus its row exponents, and the ranks the module sizes."""
+    vars = VariableSet(tuple(obj["vars"]))
+    modules = tuple(
+        tuple(Monomial(vars, tuple(exps)) for exps in module)
+        for module in obj["multidegrees"]
+    )
+    F = FreeComplex(vars, modules, tuple(
+        tuple((e["row"], e["col"], e["sign"]) for e in entries)
+        for entries in obj["differentials"]
+    ))
+    assert obj["ranks"] == list(F.ranks)
+    for rows, cols, entries in zip(modules, modules[1:], obj["differentials"]):
+        for e in entries:
+            assert e["monomial"] == list(exponents_over(cols[e["col"]], rows[e["row"]]))
+    return F
+
+
+def read_labeled_complex(obj) -> LabeledComplex:
+    """The LabeledComplex of ``labeled_complex_to_json`` output."""
+    vars = VariableSet(tuple(obj["vars"]))
+    labels = tuple(mono(vars, obj["labels"][v]) for v in obj["vertices"])
+    return LabeledComplex(cx(obj["vertices"], obj["facets"]), labels)
+
+
+def read_betti(obj) -> BettiTable:
+    """The BettiTable of ``betti_to_json`` output; the totals must match."""
+    vars = VariableSet(tuple(obj["vars"]))
+    table = BettiTable(vars, tuple(
+        (e["i"], Monomial(vars, tuple(e["multidegree"])), e["beta"])
+        for e in obj["graded"]
+    ))
+    assert obj["total"] == list(table.totals())
+    return table
 
 
 def tuple_faces_by_dim(face_sets) -> list[list[tuple[int, ...]]]:

@@ -30,7 +30,6 @@ from treeres.resolution import (
     enumerate_trees,
     floystad_tree,
     frame,
-    free_complex_from_json,
     homogenize,
     is_minimal_support,
     supports_resolution,
@@ -45,6 +44,7 @@ from helpers import (
     printed_matrix_fingerprint,
     random_nonsquarefree_ideal,
     random_squarefree_ideal,
+    read_free_complex,
     six_var_ideal,
     star_ideal,
 )
@@ -78,7 +78,7 @@ def test_criterion_1_six_var_example_end_to_end(tmp_path, capsys):
 
     assert main(["resolve", "--input", str(ideal_path), "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    F = free_complex_from_json(payload["free_complex"])
+    F = read_free_complex(payload["free_complex"])
     I = six_var_ideal()
 
     ok = F.ranks == (1, 4, 3)

@@ -16,15 +16,10 @@ from treeres.complexes import (
 )
 from treeres.duality import dual_generators
 from treeres.homology import BettiTable, betti, is_exact_frame
-from treeres.monomial import Monomial, parse_ideal
-from treeres.resolution import (
-    frame,
-    free_complex_from_json,
-    free_complex_to_json,
-    taylor,
-)
+from treeres.monomial import Monomial
+from treeres.resolution import frame, taylor
 
-from helpers import census_complexes
+from helpers import census_complexes, flipped_taylor
 from strategies import ideals
 
 
@@ -169,10 +164,7 @@ class TestInvariantBattery:
 
 
 def _flipped_taylor(I):
-    # The Taylor complex of x1, x2 with one d_2 sign flipped: d.d != 0.
-    payload = free_complex_to_json(taylor(parse_ideal("vars x1 x2\nx1\nx2\n")))
-    payload["differentials"][1][0]["sign"] *= -1
-    return free_complex_from_json(payload)
+    return flipped_taylor()
 
 
 def _failing_build_tree(D):

@@ -14,11 +14,16 @@ import treeres
 from treeres import cli
 from treeres.cli import main
 from treeres.complexes import complex_from_json, complex_to_json
-from treeres.homology import betti_from_json
 from treeres.monomial import POLARIZE_GUARD, VariableSet, format_ideal
-from treeres.resolution import free_complex_from_json, labeled_complex_from_json
 
-from helpers import SIX_VAR_IDEAL_TEXT, STAR_IDEAL_TEXT, cycle_with_pendants
+from helpers import (
+    SIX_VAR_IDEAL_TEXT,
+    STAR_IDEAL_TEXT,
+    cycle_with_pendants,
+    read_betti,
+    read_free_complex,
+    read_labeled_complex,
+)
 from strategies import complexes, ideals, nonunit_monomials, squarefree_ideals
 
 HOLLOW_JSON = json.dumps(
@@ -141,7 +146,7 @@ class TestTreeCommands:
         dot_path = tmp_path / "tree.dot"
         assert main(["tree", "--input", str(dual_path), "--dot", str(dot_path),
                      "--format", "json"]) == 0
-        tree = labeled_complex_from_json(json.loads(capsys.readouterr().out))
+        tree = read_labeled_complex(json.loads(capsys.readouterr().out))
         assert len(tree.complex.facets) == 3
         dot = dot_path.read_text()
         assert "x1*x4*x6" in dot
@@ -167,7 +172,7 @@ class TestTreeCommands:
 
     def test_floystad(self, six_var_file, capsys):
         assert main(["floystad", "--input", six_var_file, "--format", "json"]) == 0
-        tree = labeled_complex_from_json(json.loads(capsys.readouterr().out))
+        tree = read_labeled_complex(json.loads(capsys.readouterr().out))
         assert len(tree.complex.facets) == 3
 
 
@@ -175,7 +180,7 @@ class TestResolve:
     def test_json_payload(self, six_var_file, capsys):
         assert main(["resolve", "--input", six_var_file, "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        F = free_complex_from_json(payload["free_complex"])
+        F = read_free_complex(payload["free_complex"])
         assert F.ranks == (1, 4, 3)
         assert payload["supports_resolution"] is True
         assert payload["minimal"] is True
@@ -209,12 +214,12 @@ class TestResolve:
 class TestOracleCommands:
     def test_taylor(self, six_var_file, capsys):
         assert main(["taylor", "--input", six_var_file, "--format", "json"]) == 0
-        F = free_complex_from_json(json.loads(capsys.readouterr().out))
+        F = read_free_complex(json.loads(capsys.readouterr().out))
         assert F.ranks == (1, 4, 6, 4, 1)
 
     def test_betti_json_round_trip(self, six_var_file, capsys):
         assert main(["betti", "--input", six_var_file, "--format", "json"]) == 0
-        table = betti_from_json(json.loads(capsys.readouterr().out))
+        table = read_betti(json.loads(capsys.readouterr().out))
         assert table.totals() == (1, 4, 3)
 
     def test_betti_text(self, six_var_file, capsys):

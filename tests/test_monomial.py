@@ -18,7 +18,6 @@ from treeres.monomial import (
     mask_exponents,
     minimalize,
     parse_ideal,
-    parse_monomial,
     polarize,
 )
 
@@ -332,6 +331,3 @@ class TestTextFormat:
     @given(squarefree_ideals())
     def test_format_parse_round_trip(self, I):
         assert parse_ideal(format_ideal(I)) == I
-
-    def test_parse_monomial_unit(self):
-        assert parse_monomial(XYZ, "1").is_one()

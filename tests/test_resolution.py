@@ -12,6 +12,7 @@ from treeres.complexes import (
     faces,
     full_simplex,
     is_full_simplex,
+    is_leaf_order,
     leaf_order,
 )
 from treeres.duality import dual_facets
@@ -34,11 +35,9 @@ from treeres.resolution import (
     floystad_tree,
     frame,
     frame_to_graph,
-    free_complex_from_json,
     free_complex_to_json,
     homogenize,
     is_minimal_support,
-    labeled_complex_from_json,
     labeled_complex_to_json,
     supports_resolution,
     taylor,
@@ -59,6 +58,8 @@ from helpers import (
     name_faces,
     pairwise_lcm_closure,
     printed_matrix_fingerprint,
+    read_free_complex,
+    read_labeled_complex,
     six_var_ideal,
     star_ideal,
     tuple_homogenize,
@@ -96,9 +97,8 @@ class TestHomogenize:
         L = LabeledComplex(cx(["v1"], [("v1",)]), (mono(V, "x*y"),))
         F = homogenize(L)
         assert F.ranks == (1, 1)
-        entry = F.differentials[0][0]
-        assert entry == (0, 0, 1)
-        assert str(F.entry_monomial(1, entry)) == "x*y"
+        assert F.differentials == (((0, 0, 1),),)
+        assert free_complex_to_json(F)["differentials"][0][0]["monomial"] == [1, 1]
 
     @given(st.lists(nonunit_monomials(), min_size=3, max_size=3))
     @settings(max_examples=40)
@@ -107,26 +107,17 @@ class TestHomogenize:
         F = homogenize(LabeledComplex(D, tuple(labels)))
         assert F.boundary_squares_to_zero()
 
-    def test_builds_without_forming_quotients(self, monkeypatch):
-        # Entries store signs only; no entry monomial is formed on construction.
-        def no_quotient(a, b):
-            raise AssertionError("quotient formed while building")
-
-        monkeypatch.setattr("treeres.resolution.quotient", no_quotient)
-        F = homogenize(build_tree(dual_facets(six_var_ideal())))
-        assert F.ranks == (1, 4, 3)
-        assert taylor(six_var_ideal()).ranks == (1, 4, 6, 4, 1)
-
     def test_entry_monomials_are_quotients(self):
         F = homogenize(build_tree(dual_facets(six_var_ideal())))
+        payload = free_complex_to_json(F)
         for i in range(1, F.length + 1):
-            for e in F.differentials[i - 1]:
+            for e, stored in zip(F.differentials[i - 1], payload["differentials"][i - 1]):
                 row, col, _ = e
                 top = F.modules[i][col]
                 bottom = F.modules[i - 1][row]
+                assert min(stored["monomial"]) >= 0
                 assert tuple(
-                    a + b
-                    for a, b in zip(bottom.exponents, F.entry_monomial(i, e).exponents)
+                    a + b for a, b in zip(bottom.exponents, stored["monomial"])
                 ) == top.exponents
 
 
@@ -396,7 +387,7 @@ class TestMaskFacePath:
 class TestBuildTree:
     def test_six_var_star_shape(self):
         I = six_var_ideal()
-        T = build_tree(dual_facets(I), order=(0, 1, 2, 3))
+        T = build_tree(dual_facets(I))
         edges = {tuple(sorted(f)) for f in T.complex.facets}
         assert edges == {("v1", "v2"), ("v2", "v3"), ("v2", "v4")}
         assert T.labels == I.generators
@@ -420,8 +411,7 @@ class TestBuildTree:
         # {x2,x3,x5} is not a leaf of <{x2,x4,x5},{x3,x5,x6},{x2,x3,x5}>:
         # its intersections with the other two jointly cover all of it.
         D = dual_facets(six_var_ideal())
-        with pytest.raises(ValueError, match="not a leaf order"):
-            build_tree(D, order=(0, 2, 1, 3))
+        assert not is_leaf_order(D, (0, 2, 1, 3))
 
     def test_not_quasi_forest_rejected(self):
         with pytest.raises(ValueError, match="quasi-forest"):
@@ -445,14 +435,9 @@ class TestResolveFastPaths:
 
     @given(labeled_forests())
     def test_serialized_entry_monomials_are_quotients(self, L):
+        # The reader checks each stored monomial against column / row.
         F = homogenize(L)
-        payload = free_complex_to_json(F)
-        for i, entries in enumerate(F.differentials, start=1):
-            stored = payload["differentials"][i - 1]
-            assert [e["monomial"] for e in stored] == [
-                list(F.entry_monomial(i, e).exponents) for e in entries
-            ]
-        assert free_complex_from_json(payload) == F
+        assert read_free_complex(free_complex_to_json(F)) == F
 
     @given(squarefree_ideals(X5, max_gens=6).filter(lambda I: I.q >= 2))
     def test_tree_for_ideal_is_build_tree_on_the_dual(self, I):
@@ -578,28 +563,15 @@ class TestFrames:
 class TestSerialization:
     def test_free_complex_round_trip(self):
         F = homogenize(build_tree(dual_facets(six_var_ideal())))
-        assert free_complex_from_json(free_complex_to_json(F)) == F
-
-    def test_tampered_ranks_rejected(self):
-        payload = free_complex_to_json(taylor(parse_ideal("x1*x2\n")))
-        payload["ranks"] = [1, 2]
-        with pytest.raises(ValueError):
-            free_complex_from_json(payload)
+        assert read_free_complex(free_complex_to_json(F)) == F
 
     def test_duplicate_entry_rejected(self):
         # A second copy of one d_2 entry: the dense frame would keep only
         # one of the two, so it must not get past construction.
-        payload = free_complex_to_json(taylor(parse_ideal("vars x1 x2\nx1\nx2\n")))
-        payload["differentials"][1].append(dict(payload["differentials"][1][0]))
+        F = taylor(parse_ideal("vars x1 x2\nx1\nx2\n"))
+        d1, d2 = F.differentials
         with pytest.raises(ValueError, match="two entries"):
-            free_complex_from_json(payload)
-
-    def test_tampered_entry_monomial_rejected(self):
-        payload = free_complex_to_json(taylor(parse_ideal("vars x1 x2\nx1\nx2\n")))
-        entry = payload["differentials"][1][0]
-        entry["monomial"] = [1, 1]
-        with pytest.raises(ValueError, match="entry monomial"):
-            free_complex_from_json(payload)
+            FreeComplex(F.vars, F.modules, (d1, d2 + d2[:1]))
 
     def test_row_not_dividing_column_rejected(self):
         V = VariableSet(("x1", "x2"))
@@ -609,67 +581,9 @@ class TestSerialization:
         with pytest.raises(ValueError, match="does not divide"):
             FreeComplex(V, ((one,), (x1,), (x2,)), ((entry,), (entry,)))
 
-    @pytest.mark.parametrize(
-        "vars", ["x1x2", ["x1", 2], None], ids=["string", "non-name", "null"]
-    )
-    def test_free_complex_vars_not_a_name_list_rejected(self, vars):
-        payload = free_complex_to_json(taylor(parse_ideal("vars x1 x2\nx1\nx2\n")))
-        payload["vars"] = vars
-        with pytest.raises(ValueError, match="list of names"):
-            free_complex_from_json(payload)
-
-    @pytest.mark.parametrize(
-        "degree", [[1.9, 0], [1.0, 0], ["1", 0], [True, 0]],
-        ids=["fraction", "integral-float", "str", "bool"],
-    )
-    def test_free_complex_multidegree_not_ints_rejected(self, degree):
-        payload = free_complex_to_json(taylor(parse_ideal("vars x1 x2\nx1\nx2\n")))
-        payload["multidegrees"][1][0] = degree
-        with pytest.raises(ValueError, match="not an int"):
-            free_complex_from_json(payload)
-
-    @pytest.mark.parametrize(
-        "key, value",
-        [("sign", True), ("sign", 1.0), ("row", 0.0), ("col", "0")],
-        ids=["sign-bool", "sign-float", "row-float", "col-str"],
-    )
-    def test_free_complex_entry_not_ints_rejected(self, key, value):
-        payload = free_complex_to_json(taylor(parse_ideal("vars x1 x2\nx1\nx2\n")))
-        payload["differentials"][0][0][key] = value
-        with pytest.raises(ValueError, match="d_1 need int row, col and sign"):
-            free_complex_from_json(payload)
-
     def test_labeled_complex_round_trip(self):
         T = build_tree(dual_facets(six_var_ideal()))
-        assert labeled_complex_from_json(labeled_complex_to_json(T)) == T
-
-    @pytest.mark.parametrize(
-        "key, value",
-        [("vars", "x1x2"), ("vars", [1]), ("vertices", "v1v2"), ("vertices", None),
-         ("facets", "v1v2"), ("facets", [["v1", 2]])],
-        ids=["vars-string", "vars-non-name", "vertices-string", "vertices-null",
-             "facets-string", "facets-non-name"],
-    )
-    def test_labeled_complex_name_lists_checked(self, key, value):
-        payload = labeled_complex_to_json(build_tree(dual_facets(six_var_ideal())))
-        payload[key] = value
-        with pytest.raises(ValueError, match="lists of names"):
-            labeled_complex_from_json(payload)
-
-    @pytest.mark.parametrize(
-        "spoil",
-        [
-            lambda labels: {**labels, "v1": 5},
-            lambda labels: {v: m for v, m in labels.items() if v != "v1"},
-            lambda labels: list(labels.values()),
-        ],
-        ids=["non-string-label", "missing-label", "list-of-labels"],
-    )
-    def test_labeled_complex_labels_checked(self, spoil):
-        payload = labeled_complex_to_json(build_tree(dual_facets(six_var_ideal())))
-        payload["labels"] = spoil(payload["labels"])
-        with pytest.raises(ValueError, match="'labels' mapping each vertex"):
-            labeled_complex_from_json(payload)
+        assert read_labeled_complex(labeled_complex_to_json(T)) == T
 
     def test_dot_output(self):
         T = build_tree(dual_facets(six_var_ideal()))

@@ -37,3 +37,47 @@ def test_no_json_dump_with_indent():
         and any(kw.arg == "indent" for kw in node.keywords)
     ]
     assert found == []
+
+
+def _names_by_statement(path: Path) -> list[tuple[ast.stmt, set[str]]]:
+    """Each top-level statement of the file with the identifiers it names:
+    variables, attributes, imported names and whole string constants (the
+    benchmark tracer looks functions up by string)."""
+    out = []
+    for stmt in ast.parse(path.read_text(), str(path)).body:
+        named = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                named.add(node.value)
+        out.append((stmt, named))
+    return out
+
+
+def test_every_public_definition_is_reached():
+    # A public function or class that no package module, script or
+    # benchmark names outside its own definition has no caller but tests.
+    root = SRC.parents[1]
+    package = [pair for path in SRC.glob("*.py") for pair in _names_by_statement(path)]
+    statements = package + [
+        pair
+        for path in [
+            *(root / "scripts").glob("*.py"),
+            *(root / "perfbench").glob("*.py"),
+        ]
+        if not path.name.startswith("test_")
+        for pair in _names_by_statement(path)
+    ]
+    unreached = sorted(
+        stmt.name
+        for stmt, _ in package
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        and not stmt.name.startswith("_")
+        and not any(stmt.name in named for other, named in statements if other is not stmt)
+    )
+    assert unreached == []
