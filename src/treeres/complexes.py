@@ -335,19 +335,26 @@ def _maximal(masks: Iterable[int]) -> list[int]:
     return kept
 
 
-def _greedy_removal(masks: Sequence[int]):
-    """Repeatedly remove the smallest-index leaf; None when stuck."""
+def _peel(masks: Sequence[int]):
+    """Peel the largest-index leaf while more than one facet is active.
+
+    Returns ``(order, edges)``: the removals reversed, a leaf order, and
+    for each step ``i >= 1`` the edge ``(joint, order[i])`` to the facet's
+    smallest-index joint when peeled; None when no active facet is a leaf.
+    """
     active = list(range(len(masks)))
-    removal = []
-    while active:
+    edges = []
+    while len(active) > 1:
         sub = [masks[i] for i in active]
-        leaf_pos = next(
-            (p for p in range(len(active)) if _is_leaf(sub, p)), None
-        )
-        if leaf_pos is None:
+        for p in range(len(active) - 1, -1, -1):
+            joints = _joint_positions(sub, p)
+            if joints:
+                break
+        else:
             return None
-        removal.append(active.pop(leaf_pos))
-    return removal
+        edges.append((active[joints[0]], active.pop(p)))
+    edges.reverse()
+    return tuple([*active, *[leaf for _, leaf in edges]]), edges
 
 
 def _all_leaf_orders(masks: Sequence[int]) -> Iterator[tuple[int, ...]]:
@@ -430,14 +437,15 @@ def induced(D: SimplicialComplex, W: Iterable[str]):
 def leaf_order(D: SimplicialComplex, mode: str = "greedy"):
     """A facet ordering where each facet is a leaf of the preceding prefix.
 
-    None when no such order exists.  `greedy` peels the smallest-index
-    leaf; `exhaustive` is the first of `all_leaf_orders`, found by
+    None when no such order exists.  `greedy` peels the largest-index
+    leaf (`_peel`), so it is the identity whenever that is a leaf order;
+    `exhaustive` is the first of `all_leaf_orders`, found by
     backtracking over removal orders, and is the oracle the greedy
     strategy is tested against.
     """
     if mode == "greedy":
-        removal = _greedy_removal(D._facet_masks)
-        return None if removal is None else tuple(reversed(removal))
+        peeled = _peel(D._facet_masks)
+        return None if peeled is None else peeled[0]
     if mode == "exhaustive":
         return next(_all_leaf_orders(D._facet_masks), None)
     raise ValueError(f"unknown mode {mode!r}")

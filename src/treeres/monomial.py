@@ -391,11 +391,8 @@ def parse_ideal(text: str) -> MonomialIdeal:
                 if name not in vars:
                     raise ParseError(f"variable {name!r} not declared", line_no, col)
     else:
-        order: list[str] = []
-        for _, _, factors in parsed:
-            for name, _ in factors:
-                if name not in order:
-                    order.append(name)
+        # A dict keeps first appearances in order with O(1) membership.
+        order = dict.fromkeys([name for _, _, fs in parsed for name, _ in fs])
         vars = VariableSet(tuple(order))
 
     gens = []

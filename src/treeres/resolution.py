@@ -18,6 +18,7 @@ from .complexes import (
     _face_masks,
     _faces_by_dim,
     _forest_edges,
+    _peel,
     _signed_boundary,
     _step_joints,
     _vertex_components,
@@ -294,10 +295,11 @@ def _tree_complex(q: int, edges: Sequence[tuple[int, int]]) -> SimplicialComplex
 def build_tree(D: SimplicialComplex) -> LabeledComplex:
     """Tree on one vertex per facet, labeled by the complement generators.
 
-    Walks a leaf order (the identity when it is one, else the greedy
-    order); each new vertex is joined to the earliest joint of its facet
-    in the prefix subcollection.  ``enumerate_trees`` gives every tree
-    across all leaf orders and joint choices.
+    Peels the largest-index leaf (the greedy ``leaf_order``) and joins
+    each peeled facet's vertex to its smallest-index joint among the
+    facets left; on an identity leaf order that is each step's earliest
+    joint.  ``enumerate_trees`` gives every tree across all leaf orders
+    and joint choices.
     """
     found = _tree_on(D, dual_generators(D).generators)
     if found is None:
@@ -308,18 +310,13 @@ def build_tree(D: SimplicialComplex) -> LabeledComplex:
 def _tree_on(
     D: SimplicialComplex, labels: Sequence[Monomial]
 ) -> tuple[tuple[int, ...], LabeledComplex] | None:
-    """The leaf order ``build_tree(D)`` walks and the tree it builds, for a
+    """The leaf order ``build_tree(D)`` peels and the tree it builds, for a
     caller that already holds the complement generators of ``D`` in facet
     order, as ``labels``; None when ``D`` has no leaf order."""
-    masks = D._facet_masks
-    order = tuple(range(D.q))
-    steps = _step_joints(masks, order)
-    if steps is None:
-        order = leaf_order(D, "greedy")
-        if order is None:
-            return None
-        steps = _step_joints(masks, order)
-    edges = [(joints[0], order[i]) for i, joints in enumerate(steps, start=1)]
+    peeled = _peel(D._facet_masks)
+    if peeled is None:
+        return None
+    order, edges = peeled
     return order, LabeledComplex(_tree_complex(D.q, edges), labels)
 
 

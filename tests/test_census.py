@@ -137,6 +137,30 @@ class TestInvariantBattery:
         assert rep.pd_ideal == 2
         assert rep.violations == []
 
+    def test_census_at_five_vertices(self):
+        # The summary `treeres census --max-vertices 5` prints.
+        assert run_census(5).summary_lines() == [
+            "complexes on <= 5 vertices: 7020 (208 up to relabeling)",
+            "quasi-forests: 894 (quasi-trees: 582)",
+            "simplicial forests: 894",
+            "pd(ideal) <= 1 instances: 889",
+            "full simplices (skipped by the equivalence): 5",
+            "violations: 0",
+        ]
+
+    def test_six_vertex_quasi_forest_that_is_not_a_simplicial_forest(self):
+        # <x1x2x3, x1x2x4, x1x3x5, x2x3x6> has the leaf order (3, 0, 2, 1),
+        # but its three outer triangles are a leafless subcollection.  No
+        # such complex exists on five vertices, so the witness line is new.
+        rep = check_complex((6, (0b000111, 0b001011, 0b010101, 0b100110)))
+        assert rep.violations == []
+        assert rep.quasi_forest and not rep.simplicial_forest
+        assert rep.pd_ideal == 1
+        assert census._tally(6, [rep]).summary_lines()[-1] == (
+            "quasi-forest but not simplicial forest witness: [['x1', 'x2', 'x3'], "
+            "['x1', 'x2', 'x4'], ['x1', 'x3', 'x5'], ['x2', 'x3', 'x6']]"
+        )
+
     def test_every_built_tree_up_to_five_vertices(self):
         # Every leaf order and every joint choice, for every quasi-forest
         # on at most five vertices: the resulting tree supports a minimal

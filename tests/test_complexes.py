@@ -286,6 +286,16 @@ class TestLeafOrders:
     def test_exhaustive_matches_standalone_backtracking(self, D):
         assert leaf_order(D, "exhaustive") == backtracking_order(D._facet_masks)
 
+    def test_greedy_is_the_identity_whenever_that_is_a_leaf_order(self):
+        # The greedy order peels the largest-index leaf: facet q-1 is a
+        # leaf of an identity leaf order, and so on down the prefixes.
+        identities = 0
+        for D in census_complexes(5):
+            if is_leaf_order(D, range(D.q)):
+                assert leaf_order(D, "greedy") == tuple(range(D.q)), D
+                identities += 1
+        assert identities == 721
+
 
 class TestQuasiForestRecognizers:
     def test_six_var_dual_is_quasi_forest(self):

@@ -14,6 +14,7 @@ from treeres.complexes import (
     is_full_simplex,
     is_leaf_order,
     leaf_order,
+    _step_joints,
 )
 from treeres.duality import dual_facets
 from treeres.monomial import (
@@ -412,6 +413,21 @@ class TestBuildTree:
         # its intersections with the other two jointly cover all of it.
         D = dual_facets(six_var_ideal())
         assert not is_leaf_order(D, (0, 2, 1, 3))
+
+    def test_edges_join_each_step_to_its_smallest_index_joint(self):
+        # The tree follows the greedy order, each vertex joined to the
+        # smallest-index joint of its facet in the prefix before it.
+        for D in census_complexes(5):
+            order = leaf_order(D, "greedy")
+            if is_full_simplex(D) or order is None:
+                continue
+            tree = build_tree(D).complex
+            names = tree.vertices.names
+            steps = _step_joints(D._facet_masks, order)
+            assert list(tree.facets) == [
+                frozenset({names[min(joints)], names[order[i]]})
+                for i, joints in enumerate(steps, start=1)
+            ], D
 
     def test_not_quasi_forest_rejected(self):
         with pytest.raises(ValueError, match="quasi-forest"):

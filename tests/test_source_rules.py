@@ -60,8 +60,9 @@ def _names_by_statement(path: Path) -> list[tuple[ast.stmt, set[str]]]:
 
 
 def test_every_public_definition_is_reached():
-    # A public function or class that no package module, script or
-    # benchmark names outside its own definition has no caller but tests.
+    # A module-level function or class, public or private, that no package
+    # module, script or benchmark names outside its own definition has no
+    # caller but tests.
     root = SRC.parents[1]
     package = [pair for path in SRC.glob("*.py") for pair in _names_by_statement(path)]
     statements = package + [
@@ -77,7 +78,6 @@ def test_every_public_definition_is_reached():
         stmt.name
         for stmt, _ in package
         if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-        and not stmt.name.startswith("_")
         and not any(stmt.name in named for other, named in statements if other is not stmt)
     )
     assert unreached == []
