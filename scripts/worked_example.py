@@ -43,7 +43,7 @@ def main():
     print(f"resolution ranks: {F.ranks}")
     print(f"degree-2 multidegrees: {[str(m) for m in F.modules[2]]}")
     print(f"divisor-induced subcomplexes all connected: {supports_resolution(T)}")
-    print(f"no face label repeats on a subface: {is_minimal_support(T)}")
+    print(f"no face label repeats on a subface: {is_minimal_support(F)}")
     print(f"d.d = 0 symbolically: {F.boundary_squares_to_zero()}")
     print(f"frame exact: {is_exact_frame(frame(F))}")
     print(f"frame reads back as the tree: {frame_to_graph(frame(F))}")

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from multiprocessing import Pool
 from typing import Iterator
 
 from .complexes import (
@@ -44,8 +43,7 @@ from .monomial import VariableSet, lcm
 from .resolution import (
     FreeComplex,
     _divisor_induced_connected,
-    build_tree,
-    differentials_in_maximal_ideal,
+    _tree_on,
     enumerate_trees,
     floystad_tree,
     frame,
@@ -270,11 +268,14 @@ def _check_threeway(D: SimplicialComplex, I, rep: ComplexReport) -> None:
     first = None
     tree_route = False
     if rep.quasi_forest:
-        try:
-            first = build_tree(D)
-            tree_route = supports_resolution(first) and is_minimal_support(first)
-        except ValueError as exc:
-            rep.violations.append(f"build_tree failed on a quasi-forest: {exc}")
+        found = _tree_on(I)
+        if found is None:
+            rep.violations.append("the leaf peel built no tree on a quasi-forest")
+        else:
+            first = found[1]
+            tree_route = supports_resolution(first) and is_minimal_support(
+                homogenize(first)
+            )
     if I.q > BETTI_GUARD:
         # Oracle leg infeasible (facet counts past the Betti guard only
         # occur at six vertices); the combinatorial legs must still agree.
@@ -305,18 +306,16 @@ def _check_threeway(D: SimplicialComplex, I, rep: ComplexReport) -> None:
 
 
 def _check_built_trees(D, I, first, table, rep: ComplexReport) -> None:
-    # ``first`` is the tree build_tree gave, or None when it failed.
+    # ``first`` is the tree _tree_on built, or None when it found no order.
     for T in enumerate_trees(D):
         F = homogenize(T)
         squares, exact = _frame_verdict(F)
         if not squares:
             rep.violations.append("homogenized tree differential squares nonzero")
-        if not differentials_in_maximal_ideal(F):
-            rep.violations.append("unit entry in a built tree's differential")
         sup = supports_resolution(T)
         if not sup:
             rep.violations.append("built tree does not support a resolution")
-        if not is_minimal_support(T):
+        if not is_minimal_support(F):
             rep.violations.append("built tree fails the subface-label criterion")
         if sup != _divisor_induced_connected(T):
             rep.violations.append("tree-path support disagrees with the lcm-lattice sweep")
@@ -345,7 +344,7 @@ def _check_built_trees(D, I, first, table, rep: ComplexReport) -> None:
 
     # Degree-ordered spanning construction agrees with the criteria.
     ft = floystad_tree(I)
-    if not (supports_resolution(ft) and is_minimal_support(ft)):
+    if not (supports_resolution(ft) and is_minimal_support(homogenize(ft))):
         rep.violations.append("degree-ordered spanning tree fails the criteria")
 
 
@@ -403,6 +402,10 @@ def _census_reports(max_vertices: int, workers: int) -> list[ComplexReport]:
     # More processes than CPUs buy nothing; the reports do not depend on it.
     workers = min(workers, os.cpu_count() or 1)
     if workers > 1:
+        # Imported here: its pickle, socket and selectors imports would
+        # otherwise load with every command.
+        from multiprocessing import Pool
+
         with Pool(workers) as pool:
             return pool.map(check_complex, payloads, chunksize=64)
     return [check_complex(p) for p in payloads]

@@ -35,7 +35,6 @@ from .resolution import (
     LabeledComplex,
     _tree_on,
     build_tree,
-    differentials_in_maximal_ideal,
     enumerate_trees,
     floystad_tree,
     free_complex_to_json,
@@ -205,27 +204,17 @@ def cmd_floystad(args) -> int:
     return 0
 
 
-def _tree_for_ideal(I: MonomialIdeal) -> LabeledComplex:
-    """``build_tree(dual_facets(I))``, labeled by I's own generators: they
-    are the dual's complement generators, in facet order."""
-    if I.q == 1:
-        return floystad_tree(I)  # single labeled vertex
-    found = _tree_on(dual_facets(I), I.generators)
-    if found is None:
-        raise ValueError("not a quasi-forest: no leaf order exists")
-    return found[1]
-
-
 def cmd_resolve(args) -> int:
     I = _load_ideal(args)
     if not I.is_squarefree():
         raise ValueError("resolve needs a squarefree ideal; run polarize first")
-    tree = _tree_for_ideal(I)
+    found = _tree_on(I)
+    if found is None:
+        raise ValueError("not a quasi-forest: no leaf order exists")
+    tree = found[1]
     F = homogenize(tree)
     supports = supports_resolution(tree)
-    # On a homogenized complex this is is_minimal_support: each entry of
-    # d_i pairs a face with one codimension-1 subface.
-    minimal = differentials_in_maximal_ideal(F)
+    minimal = is_minimal_support(F)
     if not (supports and minimal):
         return _abort_with_reproducer(
             "built tree failed the resolution criteria",
@@ -327,14 +316,13 @@ def cmd_verify(args) -> int:
         _emit(args, line + "\n")
         return 0
 
-    D = dual_facets(I)
-    found = _tree_on(D, I.generators)
+    found = _tree_on(I)
     qf = found is not None
 
     tree_ok = False
     if qf:
         order, tree = found
-        tree_ok = supports_resolution(tree) and is_minimal_support(tree)
+        tree_ok = supports_resolution(tree) and is_minimal_support(homogenize(tree))
 
     if not (pd_le_1 == qf == tree_ok):
         return _abort_with_reproducer(
@@ -342,8 +330,8 @@ def cmd_verify(args) -> int:
             {"ideal": format_ideal(I)},
         )
 
-    kind = "quasi-tree" if is_connected(D) else "quasi-forest"
     if qf:
+        kind = "quasi-tree" if is_connected(dual_facets(I)) else "quasi-forest"
         line = (
             f"pd(I)={pd_i}; dual is {kind} (leaf order {_order_label(order)}); "
             "tree supports minimal resolution"

@@ -513,7 +513,9 @@ def connected_components(D: SimplicialComplex) -> tuple[frozenset[str], ...]:
 
 
 def is_connected(D: SimplicialComplex) -> bool:
-    return len(connected_components(D)) == 1
+    """One component holds every vertex that lies in a facet; ambient
+    vertices in no facet do not count."""
+    return D._mask(D.used_vertices) in _vertex_components(D.n, D._facet_masks)
 
 
 # ---------------------------------------------------------------------------

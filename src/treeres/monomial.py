@@ -358,11 +358,8 @@ def parse_ideal(text: str) -> MonomialIdeal:
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        if header is None and not body and stripped.startswith("vars"):
-            rest = stripped[4:]
-            if rest and not rest[0].isspace():
-                raise ParseError("malformed vars header", idx, 1)
-            header = rest.split()
+        if header is None and not body and stripped.split()[0] == "vars":
+            header = stripped.split()[1:]
             if not header:
                 raise ParseError("empty vars header", idx, 1)
             continue

@@ -144,27 +144,12 @@ def homogenize(L: LabeledComplex) -> FreeComplex:
     Degree i has one summand per (i-1)-face, of multidegree the face
     label; d_i carries the simplicial boundary signs, with d_1 the row of
     vertex labels.
-    """
-    by_dim, label = _face_labels(L)
-    modules = tuple([tuple([label[face] for face in bucket]) for bucket in by_dim])
-    diffs = tuple([
-        tuple([*_signed_boundary(by_dim, d)])
-        for d in range(1, len(by_dim))
-    ])
-    return FreeComplex(L.label_vars, modules, diffs)
 
-
-def _face_labels(
-    L: LabeledComplex,
-) -> tuple[list[list[int]], dict[int, Monomial]]:
-    """The faces of L as vertex bitmasks, bucketed by size with the empty
-    face first, and the label of each.
-
-    Each bucket lists its faces in lexicographic order of their sorted
+    Each degree lists its faces in lexicographic order of their sorted
     vertex indices: the key spells bit i as character i, so of two faces
     of one size the one holding the lowest vertex they differ in sorts
     first.  A face's label is one lcm: the face without its highest
-    vertex, one bucket down and already labeled, with that vertex.
+    vertex, one degree down and already labeled, with that vertex.
     """
     n = L.complex.n
     by_dim = _faces_by_dim(sorted(
@@ -177,7 +162,12 @@ def _face_labels(
         for face in bucket:
             top = face.bit_length() - 1
             label[face] = lcm(label[face ^ (1 << top)], L.labels[top])
-    return by_dim, label
+    modules = tuple([tuple([label[face] for face in bucket]) for bucket in by_dim])
+    diffs = tuple([
+        tuple([*_signed_boundary(by_dim, d)])
+        for d in range(1, len(by_dim))
+    ])
+    return FreeComplex(L.label_vars, modules, diffs)
 
 
 def _generator_vertex_names(q: int) -> VariableSet:
@@ -266,19 +256,18 @@ def _divisor_induced_connected(L: LabeledComplex) -> bool:
     return True
 
 
-def is_minimal_support(L: LabeledComplex) -> bool:
-    """No face label equals the label of a proper subface.
+def is_minimal_support(F: FreeComplex) -> bool:
+    """No entry of any d_i has equal row and column multidegrees.
 
-    Labels grow monotonically along inclusions, so checking codimension-1
-    subfaces (and vertices against the empty face's label 1) suffices.
+    On ``homogenize(L)`` each entry pairs a face with a codimension-1
+    subface, and d_1 pairs each vertex with the empty face's label 1.
+    Labels grow along inclusions, so this says that no face label equals
+    the label of a proper subface: L supports a minimal complex.
     """
-    by_dim, label = _face_labels(L)
-    return not any(
-        label[face ^ (1 << v)] == label[face]
-        for bucket in by_dim[1:]
-        for face in bucket
-        for v in range(face.bit_length())
-        if face >> v & 1
+    return all(
+        rows[row] != cols[col]
+        for rows, cols, entries in zip(F.modules, F.modules[1:], F.differentials)
+        for row, col, _ in entries
     )
 
 
@@ -301,23 +290,27 @@ def build_tree(D: SimplicialComplex) -> LabeledComplex:
     joint.  ``enumerate_trees`` gives every tree across all leaf orders
     and joint choices.
     """
-    found = _tree_on(D, dual_generators(D).generators)
+    found = _tree_on(dual_generators(D))
     if found is None:
         raise ValueError("not a quasi-forest: no leaf order exists")
     return found[1]
 
 
-def _tree_on(
-    D: SimplicialComplex, labels: Sequence[Monomial]
-) -> tuple[tuple[int, ...], LabeledComplex] | None:
-    """The leaf order ``build_tree(D)`` peels and the tree it builds, for a
-    caller that already holds the complement generators of ``D`` in facet
-    order, as ``labels``; None when ``D`` has no leaf order."""
-    peeled = _peel(D._facet_masks)
+def _tree_on(I: MonomialIdeal) -> tuple[tuple[int, ...], LabeledComplex] | None:
+    """The leaf order ``build_tree`` peels on the dual of the squarefree
+    ideal I and the tree it builds, labeled by I's generators; None when
+    the dual has no leaf order.
+
+    The dual's facets are the complements of the generator supports, in
+    generator order.  One facet peels to ``((0,), [])`` even when it is
+    empty, so a principal ideal gets its single-vertex tree.
+    """
+    full = (1 << I.vars.n) - 1
+    peeled = _peel([full ^ g.support_mask for g in I.generators])
     if peeled is None:
         return None
     order, edges = peeled
-    return order, LabeledComplex(_tree_complex(D.q, edges), labels)
+    return order, LabeledComplex(_tree_complex(I.q, edges), I.generators)
 
 
 def enumerate_trees(D: SimplicialComplex) -> Iterator[LabeledComplex]:
@@ -360,15 +353,6 @@ def floystad_tree(I: MonomialIdeal) -> LabeledComplex:
     if len(edges) != q - 1:
         raise ValueError("spanning construction failed; precondition violated")
     return LabeledComplex(_tree_complex(q, edges), gens)
-
-
-def differentials_in_maximal_ideal(F: FreeComplex) -> bool:
-    """True iff no entry's row multidegree equals its column multidegree."""
-    return all(
-        rows[row] != cols[col]
-        for rows, cols, entries in zip(F.modules, F.modules[1:], F.differentials)
-        for row, col, _ in entries
-    )
 
 
 # ---------------------------------------------------------------------------

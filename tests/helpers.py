@@ -92,7 +92,7 @@ def census_complexes(max_vertices: int):
 
 def face_label(L, face) -> Monomial:
     """The lcm of the labels of the face's vertices (names), 1 on the empty
-    face: one ``lcm`` per vertex, independent of ``resolution._face_labels``."""
+    face: one ``lcm`` per vertex, independent of ``resolution.homogenize``."""
     out = Monomial.one(L.label_vars)
     for v in face:
         out = lcm(out, L.label_of(v))

@@ -26,7 +26,6 @@ from treeres.homology import betti, is_exact_frame
 from treeres.monomial import polarize
 from treeres.resolution import (
     build_tree,
-    differentials_in_maximal_ideal,
     enumerate_trees,
     floystad_tree,
     frame,
@@ -120,7 +119,7 @@ def test_criterion_2_star_example(capsys):
     trees = list(enumerate_trees(D))
     sixteen = len(trees) == 16
     all_pass = all(
-        supports_resolution(t) and is_minimal_support(t) for t in trees
+        supports_resolution(t) and is_minimal_support(homogenize(t)) for t in trees
     )
     totals = betti(I).totals() == (1, 4, 3)
 
@@ -143,7 +142,7 @@ def test_criterion_3_three_way_equivalence_census(census4, capsys):
         tree_ok = False
         if qf:
             T = build_tree(D)
-            tree_ok = supports_resolution(T) and is_minimal_support(T)
+            tree_ok = supports_resolution(T) and is_minimal_support(homogenize(T))
         if not (pd_le_1 == qf == tree_ok):
             discrepancies.append((n, masks, pd_le_1, qf, tree_ok))
         if n == 4 and iso_key(4, masks) == cycle_key:
@@ -184,7 +183,7 @@ def test_criterion_5_minimality_of_every_built_tree(census4, capsys):
             continue
         for T in enumerate_trees(D):
             checked += 1
-            if not differentials_in_maximal_ideal(homogenize(T)):
+            if not is_minimal_support(homogenize(T)):
                 bad.append((n, masks))
 
     ok = not bad and checked > 0
@@ -228,7 +227,7 @@ def test_criterion_7_degree_filtration_and_spanning_tree(census4, capsys):
         checked_ideals += 1
         I = dual_generators(D)
         ft = floystad_tree(I)
-        if not (supports_resolution(ft) and is_minimal_support(ft)):
+        if not (supports_resolution(ft) and is_minimal_support(homogenize(ft))):
             bad.append(("floystad", n, masks))
         for T in enumerate_trees(D):
             if not _degree_filtration_is_spanning(T):

@@ -76,6 +76,15 @@ class TestVerify:
         assert main(["verify", "--input", str(path)]) == 0
         assert "pd(I)=0" in capsys.readouterr().out
 
+    def test_variable_in_every_generator_keeps_the_dual_connected(
+        self, tmp_path, capsys
+    ):
+        # The dual <{y,z},{x,z}> is connected; w lies in no facet.
+        path = tmp_path / "i.txt"
+        path.write_text("vars w x y z\nw*x, w*y\n")
+        assert main(["verify", "--input", str(path)]) == 0
+        assert "dual is quasi-tree" in capsys.readouterr().out
+
 
 class TestPd:
     def test_six_var(self, six_var_file, capsys):
@@ -136,6 +145,14 @@ class TestQuasiforest:
         assert "quasi-forest: yes" in out
         assert "recognizers: greedy=yes exhaustive=yes induced=yes" in out
         assert "quasi-tree" in out
+
+    def test_unused_ambient_vertex_keeps_it_connected(self, tmp_path, capsys):
+        path = tmp_path / "path.json"
+        path.write_text(json.dumps(
+            {"vertices": ["a", "b", "c", "d"], "facets": [["a", "b"], ["b", "c"]]}
+        ))
+        assert main(["quasiforest", "--input", str(path)]) == 0
+        assert "connected: yes (quasi-tree)" in capsys.readouterr().out
 
 
 class TestTreeCommands:
@@ -209,6 +226,33 @@ class TestResolve:
         path = tmp_path / "cycle.txt"
         path.write_text("vars x1 x2 x3 x4\nx1*x2, x2*x3, x3*x4, x4*x1\n")
         assert main(["resolve", "--input", str(path)]) == 2
+
+    @pytest.mark.parametrize(
+        "text", ["x1*x2\n", "vars x1 x2 x3\nx1*x2\n"],
+        ids=["full-support", "proper-support"],
+    )
+    def test_principal_ideal_is_one_vertex(self, tmp_path, capsys, text):
+        # The generator of the first uses every variable: its dual facet
+        # is empty, and the tree is still the single labeled vertex.
+        path = tmp_path / "p.txt"
+        path.write_text(text)
+        assert main(["resolve", "--input", str(path)]) == 0
+        assert capsys.readouterr().out == (
+            "ranks: 1 1\ndegree 1 multidegrees: x1*x2\n"
+            "supports resolution: yes\nminimal: yes\n"
+        )
+
+
+def test_importing_the_cli_leaves_multiprocessing_unloaded():
+    # Only ``census --workers`` above 1 needs a process pool.
+    src = str(Path(treeres.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, treeres.cli; print('multiprocessing' in sys.modules)"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 class TestOracleCommands:

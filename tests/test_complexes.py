@@ -382,7 +382,7 @@ class TestFaceGuard:
             f_vector,
             reduced_homology_dims,
             lambda D: homogenize(_labeled_by_variables(D)),
-            lambda D: is_minimal_support(_labeled_by_variables(D)),
+            lambda D: is_minimal_support(homogenize(_labeled_by_variables(D))),
         ],
         ids=["faces", "f_vector", "reduced_homology_dims", "homogenize",
              "is_minimal_support"],
@@ -434,6 +434,16 @@ class TestConnectivity:
     def test_ambient_vertices_are_singletons(self):
         D = SimplicialComplex(VariableSet(("x1", "x2")), (frozenset({"x2"}),))
         assert connected_components(D) == (frozenset({"x1"}), frozenset({"x2"}))
+
+    def test_ambient_vertices_do_not_disconnect(self):
+        D = SimplicialComplex(
+            VariableSet(tuple("abcd")), (frozenset("ab"), frozenset("bc"))
+        )
+        assert connected_components(D) == (frozenset("abc"), frozenset("d"))
+        assert is_connected(D)
+        assert not is_connected(
+            SimplicialComplex(D.vertices, (frozenset("a"), frozenset("c")))
+        )
 
 
 class TestCanonicalForm:

@@ -320,6 +320,13 @@ class TestTextFormat:
         assert err.value.line == 2
         assert "column" in str(err.value)
 
+    def test_header_is_the_word_vars_alone(self):
+        # A variable named like the header word is a generator factor.
+        I = parse_ideal("vars2*x1, x2\n")
+        assert I.vars.names == ("vars2", "x1", "x2")
+        assert [str(g) for g in I.generators] == ["vars2*x1", "x2"]
+        assert parse_ideal("vars\tx1 x2\nx1\n").vars.names == ("x1", "x2")
+
     def test_undeclared_variable(self):
         with pytest.raises(ParseError):
             parse_ideal("vars x1 x2\nx1*x3\n")

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from treeres.cli import _tree_for_ideal
 from treeres.complexes import (
     SimplicialComplex,
     connected_components,
@@ -30,8 +29,8 @@ from treeres.resolution import (
     FreeComplex,
     LabeledComplex,
     _divisor_induced_connected,
+    _tree_on,
     build_tree,
-    differentials_in_maximal_ideal,
     enumerate_trees,
     floystad_tree,
     frame,
@@ -305,7 +304,8 @@ class TestTreePathSupport:
 
 class TestMinimalSupport:
     def test_six_var_star_tree(self):
-        assert is_minimal_support(build_tree(dual_facets(six_var_ideal())))
+        F = homogenize(build_tree(dual_facets(six_var_ideal())))
+        assert is_minimal_support(F)
 
     def test_edge_with_nested_labels(self):
         V = VariableSet(("x1", "x2"))
@@ -313,11 +313,12 @@ class TestMinimalSupport:
             cx(["v1", "v2"], [("v1", "v2")]),
             (mono(V, "x1"), mono(V, "x1*x2")),
         )
-        assert not is_minimal_support(L)
+        assert not is_minimal_support(homogenize(L))
 
     def test_every_built_tree_on_star(self):
         assert all(
-            is_minimal_support(t) for t in enumerate_trees(dual_facets(star_ideal()))
+            is_minimal_support(homogenize(t))
+            for t in enumerate_trees(dual_facets(star_ideal()))
         )
 
 
@@ -347,8 +348,8 @@ def _minimal_support_by_face_labels(L):
 
 
 class TestFaceLabels:
-    """homogenize and is_minimal_support label each face by one lcm of a
-    smaller face's label; helpers.face_label is the lcm over all its vertices."""
+    """homogenize labels each face by one lcm of a smaller face's label;
+    helpers.face_label is the lcm over all its vertices."""
 
     @given(labeled_forests() | ideals().map(_labeled_simplex))
     def test_module_multidegrees_are_face_labels(self, L):
@@ -367,7 +368,7 @@ class TestFaceLabels:
 
     @given(labeled_forests() | ideals().map(_labeled_simplex))
     def test_minimal_support_agrees_with_direct_definition(self, L):
-        assert is_minimal_support(L) == _minimal_support_by_face_labels(L)
+        assert is_minimal_support(homogenize(L)) == _minimal_support_by_face_labels(L)
 
 
 class TestMaskFacePath:
@@ -439,7 +440,7 @@ class TestBuildTree:
         I = parse_ideal("vars x1 x2\nx1\nx2\n")
         T = build_tree(dual_facets(I))
         assert {tuple(sorted(f)) for f in T.complex.facets} == {("v1", "v2")}
-        assert supports_resolution(T) and is_minimal_support(T)
+        assert supports_resolution(T) and is_minimal_support(homogenize(T))
 
 
 X5 = VariableSet(tuple(f"x{i}" for i in range(1, 6)))
@@ -455,16 +456,22 @@ class TestResolveFastPaths:
         F = homogenize(L)
         assert read_free_complex(free_complex_to_json(F)) == F
 
-    @given(squarefree_ideals(X5, max_gens=6).filter(lambda I: I.q >= 2))
-    def test_tree_for_ideal_is_build_tree_on_the_dual(self, I):
+    @given(squarefree_ideals(X5, max_gens=6))
+    def test_tree_on_the_ideal_is_build_tree_on_the_dual(self, I):
+        # A principal ideal whose generator uses every variable has no
+        # dual complex, but still peels to its single-vertex tree.
+        found = _tree_on(I)
+        if I.q == 1:
+            assert found[0] == (0,)
+            assert found[1].complex.facets == (frozenset({"v1"}),)
+            assert found[1].labels == I.generators
+            return
         try:
             want = build_tree(dual_facets(I))
-        except ValueError as exc:
-            with pytest.raises(ValueError) as got:
-                _tree_for_ideal(I)
-            assert str(got.value) == str(exc)
+        except ValueError:
+            assert found is None
             return
-        got = _tree_for_ideal(I)
+        got = found[1]
         assert got.complex.vertices == want.complex.vertices
         assert got.complex.facets == want.complex.facets
         assert got.labels == want.labels
@@ -479,7 +486,7 @@ class TestFloystad:
         )
         assert degrees == [4, 4, 4]
         assert supports_resolution(T)
-        assert is_minimal_support(T)
+        assert is_minimal_support(homogenize(T))
 
     def test_principal(self):
         T = floystad_tree(parse_ideal("x1*x2\n"))
@@ -559,21 +566,6 @@ class TestFrames:
     def test_frame_to_graph_rejects_a_column_holding_two(self):
         fr = Frame((1, 2, 1), (((0, 0, 1), (0, 1, 1)), ((0, 0, 2), (1, 0, -1))))
         assert frame_to_graph(fr) is None
-
-    @given(labeled_forests())
-    def test_unit_entry_detection_agrees_with_minimal_support(self, L):
-        # Independent leg: a unit entry is a face with the label of a subface.
-        assert differentials_in_maximal_ideal(homogenize(L)) == is_minimal_support(L)
-
-    def test_unit_entry_detection(self):
-        F = homogenize(build_tree(dual_facets(six_var_ideal())))
-        assert differentials_in_maximal_ideal(F)
-        V = VariableSet(("x1", "x2"))
-        nested = LabeledComplex(
-            cx(["v1", "v2"], [("v1", "v2")]),
-            (mono(V, "x1"), mono(V, "x1*x2")),
-        )
-        assert not differentials_in_maximal_ideal(homogenize(nested))
 
 
 class TestSerialization:
