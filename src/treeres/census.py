@@ -265,31 +265,14 @@ def _taylor_verdict(I) -> tuple[bool, bool]:
 
 
 def _check_threeway(D: SimplicialComplex, I, rep: ComplexReport) -> None:
-    first = None
-    tree_route = False
-    if rep.quasi_forest:
-        found = _tree_on(I)
-        if found is None:
-            rep.violations.append("the leaf peel built no tree on a quasi-forest")
-        else:
-            first = found[1]
-            tree_route = supports_resolution(first) and is_minimal_support(
-                homogenize(first)
-            )
     if I.q > BETTI_GUARD:
-        # Oracle leg infeasible (facet counts past the Betti guard only
-        # occur at six vertices); the combinatorial legs must still agree.
-        if rep.quasi_forest and not tree_route:
-            rep.violations.append("quasi-forest whose tree fails the criteria")
+        # The oracle leg is infeasible, and no quasi-forest gets here: each
+        # facet of a leaf order holds a vertex no earlier facet holds (else
+        # it would lie in its joint), so a quasi-forest has at most n <= 6
+        # facets.
         return
     table = betti(I)
     rep.pd_ideal = table.pd_quotient() - 1
-    pd_le_1 = rep.pd_ideal <= 1
-    if not (pd_le_1 == rep.quasi_forest == tree_route):
-        rep.violations.append(
-            f"three-way equivalence broken: pd<=1 is {pd_le_1}, "
-            f"quasi-forest is {rep.quasi_forest}, tree route is {tree_route}"
-        )
 
     # Taylor is always a resolution and bounds the Betti numbers by its
     # ranks C(q, i).
@@ -301,12 +284,25 @@ def _check_threeway(D: SimplicialComplex, I, rep: ComplexReport) -> None:
     if any(b > math.comb(I.q, i) for i, b in enumerate(table.totals())):
         rep.violations.append("betti numbers exceed the taylor ranks")
 
-    if rep.quasi_forest:
-        _check_built_trees(D, I, first, table, rep)
+    pd_le_1 = rep.pd_ideal <= 1
+    tree_route = rep.quasi_forest and _check_built_trees(D, I, table, rep)
+    if not (pd_le_1 == rep.quasi_forest == tree_route):
+        rep.violations.append(
+            f"three-way equivalence broken: pd<=1 is {pd_le_1}, "
+            f"quasi-forest is {rep.quasi_forest}, tree route is {tree_route}"
+        )
 
 
-def _check_built_trees(D, I, first, table, rep: ComplexReport) -> None:
-    # ``first`` is the tree _tree_on built, or None when it found no order.
+def _check_built_trees(D, I, table, rep: ComplexReport) -> bool:
+    """Judge every tree built on the quasi-forest D.  Returns whether the
+    leaf-peel tree ``_tree_on(I)`` supports a minimal resolution, read off
+    its pass through ``enumerate_trees(D)``, which yields it: the peel's
+    order is a leaf order and its edges are one joint choice."""
+    found = _tree_on(I)
+    if found is None:
+        rep.violations.append("the leaf peel built no tree on a quasi-forest")
+    first = None if found is None else found[1]
+    verdict = False
     for T in enumerate_trees(D):
         F = homogenize(T)
         squares, exact = _frame_verdict(F)
@@ -315,8 +311,11 @@ def _check_built_trees(D, I, first, table, rep: ComplexReport) -> None:
         sup = supports_resolution(T)
         if not sup:
             rep.violations.append("built tree does not support a resolution")
-        if not is_minimal_support(F):
+        minimal = is_minimal_support(F)
+        if not minimal:
             rep.violations.append("built tree fails the subface-label criterion")
+        if T == first:
+            verdict = sup and minimal
         if sup != _divisor_induced_connected(T):
             rep.violations.append("tree-path support disagrees with the lcm-lattice sweep")
         if not _degree_filtration_is_spanning(T):
@@ -346,6 +345,7 @@ def _check_built_trees(D, I, first, table, rep: ComplexReport) -> None:
     ft = floystad_tree(I)
     if not (supports_resolution(ft) and is_minimal_support(homogenize(ft))):
         rep.violations.append("degree-ordered spanning tree fails the criteria")
+    return verdict
 
 
 # ---------------------------------------------------------------------------

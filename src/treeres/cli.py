@@ -147,9 +147,10 @@ def cmd_quasiforest(args) -> int:
     if isinstance(D, EmptyComplex):
         _emit(args, "quasi-forest: yes (no facets)\n")
         return 0
+    # The guarded sweep runs first: the exhaustive search has no guard.
+    induced_ok = is_quasi_forest_by_induced(D)
     greedy = leaf_order(D, "greedy")
     exhaustive = leaf_order(D, "exhaustive")
-    induced_ok = is_quasi_forest_by_induced(D)
     ok = exhaustive is not None
     lines = [f"quasi-forest: {'yes' if ok else 'no'}"]
     if ok:

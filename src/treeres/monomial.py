@@ -364,8 +364,6 @@ def parse_ideal(text: str) -> MonomialIdeal:
                 raise ParseError("empty vars header", idx, 1)
             continue
         body.append((idx, line))
-    if not body:
-        raise ParseError("no generators found", len(raw_lines) or 1, 1)
 
     # First pass: split into factors, remember positions for error messages.
     parsed: list[tuple[int, int, list[tuple[str, int]]]] = []
@@ -380,6 +378,9 @@ def parse_ideal(text: str) -> MonomialIdeal:
             factors.append((name, exp))
             offset += len(piece) + 1
         parsed.append((line_no, col, factors))
+    # An empty body, or one of commas and blanks only, reads no generator.
+    if not parsed:
+        raise ParseError("no generators found", len(raw_lines) or 1, 1)
 
     if header is not None:
         vars = VariableSet(tuple(header))

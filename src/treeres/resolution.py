@@ -23,10 +23,9 @@ from .complexes import (
     _step_joints,
     _vertex_components,
     is_simplicial_forest,
-    leaf_order,
     all_leaf_orders,
 )
-from .duality import dual_facets, dual_generators
+from .duality import dual_generators
 from .monomial import (
     Monomial,
     MonomialIdeal,
@@ -335,23 +334,19 @@ def floystad_tree(I: MonomialIdeal) -> LabeledComplex:
 
     Candidate edges are taken in (lcm total degree, row, col) order and
     added when they keep the subgraph acyclic, so every degree slice is a
-    spanning forest of the corresponding label-degree subgraph.
+    spanning forest of the corresponding label-degree subgraph.  The dual
+    must have a leaf order, which the peel of ``_tree_on`` decides.
     """
     if not I.is_squarefree():
         raise ValueError("needs a squarefree ideal; polarize first")
-    q = I.q
-    if q == 1:
-        return LabeledComplex(_tree_complex(1, ()), I.generators)
-    if leaf_order(dual_facets(I), "greedy") is None:
+    if _tree_on(I) is None:
         raise ValueError("projective dimension exceeds 1: no spanning construction")
-    gens = I.generators
+    q, gens = I.q, I.generators
     candidates = sorted(
         ((lcm(gens[i], gens[j]).degree(), i, j)
          for i in range(q) for j in range(i + 1, q)),
     )
     edges = _forest_edges(q, [(i, j) for _, i, j in candidates])
-    if len(edges) != q - 1:
-        raise ValueError("spanning construction failed; precondition violated")
     return LabeledComplex(_tree_complex(q, edges), gens)
 
 

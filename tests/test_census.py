@@ -165,26 +165,33 @@ class TestInvariantBattery:
         # Every leaf order and every joint choice, for every quasi-forest
         # on at most five vertices: the resulting tree supports a minimal
         # resolution and its degree slices span the label-degree subgraphs.
+        # The leaf-peel tree is among them, so the census reads its verdict
+        # off the enumeration.
         from treeres.census import _degree_filtration_is_spanning
         from treeres.complexes import is_full_simplex
         from treeres.resolution import (
+            _tree_on,
             enumerate_trees,
             homogenize,
             is_minimal_support,
             supports_resolution,
         )
 
-        trees_checked = 0
+        duals_checked = trees_checked = 0
         for n in range(1, 6):
             for masks in antichain_covers(n):
                 D = complex_from_masks(n, masks)
                 if is_full_simplex(D) or leaf_order(D, "greedy") is None:
                     continue
-                for T in enumerate_trees(D):
+                duals_checked += 1
+                trees = list(enumerate_trees(D))
+                assert _tree_on(dual_generators(D))[1] in trees, D
+                for T in trees:
                     trees_checked += 1
                     assert supports_resolution(T)
                     assert is_minimal_support(homogenize(T))
                     assert _degree_filtration_is_spanning(T)
+        assert duals_checked == 889
         assert trees_checked == 2207
 
 

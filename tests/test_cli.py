@@ -154,6 +154,25 @@ class TestQuasiforest:
         assert main(["quasiforest", "--input", str(path)]) == 0
         assert "connected: yes (quasi-tree)" in capsys.readouterr().out
 
+    def test_guard_refuses_before_any_leaf_order_search(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # The exhaustive leaf-order search has no guard of its own, so past
+        # 20 vertices the guarded induced sweep must refuse first.
+        names = [f"v{i}" for i in range(21)]
+        path = tmp_path / "cycle.json"
+        path.write_text(json.dumps({
+            "vertices": names,
+            "facets": [[a, b] for a, b in zip(names, names[1:] + names[:1])],
+        }))
+
+        def unguarded(D, mode="greedy"):
+            raise AssertionError(f"leaf_order(D, {mode!r}) ran past the guard")
+
+        monkeypatch.setattr(cli, "leaf_order", unguarded)
+        assert main(["quasiforest", "--input", str(path)]) == 2
+        assert "induced-subcomplex guard exceeded" in capsys.readouterr().err
+
 
 class TestTreeCommands:
     def test_tree_with_dot(self, tmp_path, six_var_file, capsys):
@@ -357,6 +376,15 @@ class TestErrors:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "text", [",,,\n", "vars x y\n, ,\n"], ids=["commas", "vars-and-commas"]
+    )
+    def test_no_generators_is_a_parse_error(self, tmp_path, capsys, text):
+        path = tmp_path / "empty.txt"
+        path.write_text(text)
+        assert main(["pd", "--input", str(path)]) == 2
+        assert "no generators found" in capsys.readouterr().err
 
     def test_missing_file(self, capsys):
         assert main(["pd", "--input", "/nonexistent/ideal.txt"]) == 2

@@ -286,6 +286,14 @@ class TestLeafOrders:
     def test_exhaustive_matches_standalone_backtracking(self, D):
         assert leaf_order(D, "exhaustive") == backtracking_order(D._facet_masks)
 
+    @given(complexes(max_vertices=6, max_facets=10))
+    def test_a_leaf_order_needs_no_more_facets_than_vertices(self, D):
+        # Each facet of a leaf order holds a vertex no earlier facet holds,
+        # else it would lie inside its joint; the census's Betti-guard skip
+        # rests on this bound.
+        if leaf_order(D, "greedy") is not None:
+            assert D.q <= len(D.used_vertices)
+
     def test_greedy_is_the_identity_whenever_that_is_a_leaf_order(self):
         # The greedy order peels the largest-index leaf: facet q-1 is a
         # leaf of an identity leaf order, and so on down the prefixes.

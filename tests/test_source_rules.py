@@ -81,3 +81,24 @@ def test_every_public_definition_is_reached():
         and not any(stmt.name in named for other, named in statements if other is not stmt)
     )
     assert unreached == []
+
+
+def test_every_module_level_import_is_used():
+    # A name a module imports and never names again costs an import and
+    # hides which modules depend on which.  __init__.py imports to re-export.
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [
+            f"{path.name}:{stmt.lineno} {bound}"
+            for stmt in tree.body
+            if isinstance(stmt, (ast.Import, ast.ImportFrom))
+            and not (isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__")
+            for alias in stmt.names
+            for bound in [(alias.asname or alias.name).split(".")[0]]
+            if bound not in named
+        ]
+    assert unused == []
