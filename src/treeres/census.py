@@ -295,12 +295,12 @@ def _check_threeway(D: SimplicialComplex, I, rep: ComplexReport) -> None:
 
 def _check_built_trees(D, I, table, rep: ComplexReport) -> bool:
     """Judge every tree built on the quasi-forest D.  Returns whether the
-    leaf-peel tree ``_tree_on(I)`` supports a minimal resolution, read off
-    its pass through ``enumerate_trees(D)``, which yields it: the peel's
-    order is a leaf order and its edges are one joint choice."""
+    search tree ``_tree_on(I)`` supports a minimal resolution, read off its
+    pass through ``enumerate_trees(D)``, which yields it: ``_step_joints``
+    certifies its order as a leaf order, and its edges are a joint choice."""
     found = _tree_on(I)
     if found is None:
-        rep.violations.append("the leaf peel built no tree on a quasi-forest")
+        rep.violations.append("the leaf search built no tree on a quasi-forest")
     first = None if found is None else found[1]
     verdict = False
     for T in enumerate_trees(D):

@@ -335,26 +335,24 @@ def _maximal(masks: Iterable[int]) -> list[int]:
     return kept
 
 
-def _peel(masks: Sequence[int]):
-    """Peel the largest-index leaf while more than one facet is active.
+def _leaf_search(masks: Sequence[int]):
+    """Maximum cardinality search (Tarjan-Yannakakis) for a leaf order.
 
-    Returns ``(order, edges)``: the removals reversed, a leaf order, and
-    for each step ``i >= 1`` the edge ``(joint, order[i])`` to the facet's
-    smallest-index joint when peeled; None when no active facet is a leaf.
+    Takes next the facet meeting the union of those taken in the most
+    vertices, smallest index on ties; ``_step_joints`` certifies the order.
+    Returns ``(order, edges)``, each edge ``(joint, order[i])`` going to
+    the step's smallest-index joint; None exactly when no leaf order exists.
     """
-    active = list(range(len(masks)))
-    edges = []
-    while len(active) > 1:
-        sub = [masks[i] for i in active]
-        for p in range(len(active) - 1, -1, -1):
-            joints = _joint_positions(sub, p)
-            if joints:
-                break
-        else:
-            return None
-        edges.append((active[joints[0]], active.pop(p)))
-    edges.reverse()
-    return tuple([*active, *[leaf for _, leaf in edges]]), edges
+    left, order, seen = list(range(len(masks))), [], 0
+    while left:
+        i = max(left, key=lambda j: (masks[j] & seen).bit_count())
+        left.remove(i)
+        order.append(i)
+        seen |= masks[i]
+    steps = _step_joints(masks, order)
+    if steps is None:
+        return None
+    return tuple(order), [(min(j), i) for j, i in zip(steps, order[1:])]
 
 
 def _all_leaf_orders(masks: Sequence[int]) -> Iterator[tuple[int, ...]]:
@@ -437,15 +435,15 @@ def induced(D: SimplicialComplex, W: Iterable[str]):
 def leaf_order(D: SimplicialComplex, mode: str = "greedy"):
     """A facet ordering where each facet is a leaf of the preceding prefix.
 
-    None when no such order exists.  `greedy` peels the largest-index
-    leaf (`_peel`), so it is the identity whenever that is a leaf order;
-    `exhaustive` is the first of `all_leaf_orders`, found by
-    backtracking over removal orders, and is the oracle the greedy
-    strategy is tested against.
+    None when no such order exists.  `greedy` is the order of the maximum
+    cardinality search (`_leaf_search`), certified by `_step_joints`;
+    `exhaustive` is the first of `all_leaf_orders`, found by backtracking
+    over removal orders, and is the oracle the greedy search is tested
+    against.
     """
     if mode == "greedy":
-        peeled = _peel(D._facet_masks)
-        return None if peeled is None else peeled[0]
+        found = _leaf_search(D._facet_masks)
+        return None if found is None else found[0]
     if mode == "exhaustive":
         return next(_all_leaf_orders(D._facet_masks), None)
     raise ValueError(f"unknown mode {mode!r}")

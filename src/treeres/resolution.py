@@ -18,7 +18,7 @@ from .complexes import (
     _face_masks,
     _faces_by_dim,
     _forest_edges,
-    _peel,
+    _leaf_search,
     _signed_boundary,
     _step_joints,
     _vertex_components,
@@ -37,6 +37,7 @@ from .monomial import (
 )
 
 TAYLOR_GUARD = 20
+_TREE_GUARD = 1 << 18  # enumerate_trees refuses past this many partial edge lists
 
 
 @dataclass(frozen=True)
@@ -283,11 +284,11 @@ def _tree_complex(q: int, edges: Sequence[tuple[int, int]]) -> SimplicialComplex
 def build_tree(D: SimplicialComplex) -> LabeledComplex:
     """Tree on one vertex per facet, labeled by the complement generators.
 
-    Peels the largest-index leaf (the greedy ``leaf_order``) and joins
-    each peeled facet's vertex to its smallest-index joint among the
-    facets left; on an identity leaf order that is each step's earliest
-    joint.  ``enumerate_trees`` gives every tree across all leaf orders
-    and joint choices.
+    Follows the greedy ``leaf_order``, the maximum cardinality search
+    that ``_step_joints`` certifies, and joins each step's facet vertex
+    to its smallest-index joint among the facets before it.
+    ``enumerate_trees`` gives every tree across all leaf orders and joint
+    choices.
     """
     found = _tree_on(dual_generators(D))
     if found is None:
@@ -296,30 +297,36 @@ def build_tree(D: SimplicialComplex) -> LabeledComplex:
 
 
 def _tree_on(I: MonomialIdeal) -> tuple[tuple[int, ...], LabeledComplex] | None:
-    """The leaf order ``build_tree`` peels on the dual of the squarefree
+    """The leaf order ``build_tree`` follows on the dual of the squarefree
     ideal I and the tree it builds, labeled by I's generators; None when
     the dual has no leaf order.
 
     The dual's facets are the complements of the generator supports, in
-    generator order.  One facet peels to ``((0,), [])`` even when it is
+    generator order; ``_leaf_search`` orders them and ``_step_joints``
+    certifies the order.  One facet gives ``((0,), [])`` even when it is
     empty, so a principal ideal gets its single-vertex tree.
     """
     full = (1 << I.vars.n) - 1
-    peeled = _peel([full ^ g.support_mask for g in I.generators])
-    if peeled is None:
+    found = _leaf_search([full ^ g.support_mask for g in I.generators])
+    if found is None:
         return None
-    order, edges = peeled
+    order, edges = found
     return order, LabeledComplex(_tree_complex(I.q, edges), I.generators)
 
 
 def enumerate_trees(D: SimplicialComplex) -> Iterator[LabeledComplex]:
-    """Every distinct labeled tree the construction can produce."""
+    """Every distinct labeled tree the construction can produce; refuses
+    past _TREE_GUARD partial edge lists across all leaf orders."""
     labels = dual_generators(D).generators
     seen: set[frozenset[tuple[int, int]]] = set()
+    walked = 0
 
     for order in all_leaf_orders(D):
         trees: list[tuple[tuple[int, int], ...]] = [()]  # edges of each tree
         for i, joints in enumerate(_step_joints(D._facet_masks, order), start=1):
+            walked += len(trees) * len(joints)
+            if walked > _TREE_GUARD:
+                raise ValueError(f"tree enumeration guard exceeded (limit {_TREE_GUARD})")
             trees = [(*edges, (j, order[i])) for edges in trees for j in joints]
         for edges in trees:
             key = frozenset([tuple(sorted(e)) for e in edges])
@@ -335,7 +342,7 @@ def floystad_tree(I: MonomialIdeal) -> LabeledComplex:
     Candidate edges are taken in (lcm total degree, row, col) order and
     added when they keep the subgraph acyclic, so every degree slice is a
     spanning forest of the corresponding label-degree subgraph.  The dual
-    must have a leaf order, which the peel of ``_tree_on`` decides.
+    must have a leaf order, which the search of ``_tree_on`` decides.
     """
     if not I.is_squarefree():
         raise ValueError("needs a squarefree ideal; polarize first")

@@ -165,7 +165,7 @@ class TestInvariantBattery:
         # Every leaf order and every joint choice, for every quasi-forest
         # on at most five vertices: the resulting tree supports a minimal
         # resolution and its degree slices span the label-degree subgraphs.
-        # The leaf-peel tree is among them, so the census reads its verdict
+        # The leaf-search tree is among them, so the census reads its verdict
         # off the enumeration.
         from treeres.census import _degree_filtration_is_spanning
         from treeres.complexes import is_full_simplex
@@ -215,7 +215,7 @@ def _inflated_betti(I):
         ("taylor", _flipped_taylor, (0b011, 0b110, 0b101),
          "taylor differential does not square to zero"),
         ("_tree_on", _failing_tree_on, (0b011, 0b110),
-         "the leaf peel built no tree on a quasi-forest"),
+         "the leaf search built no tree on a quasi-forest"),
         ("betti", _inflated_betti, (0b011, 0b110, 0b101),
          "betti numbers exceed the taylor ranks"),
     ],

@@ -198,6 +198,26 @@ class TestTreeCommands:
         trees = json.loads(capsys.readouterr().out)
         assert len(trees) == 16
 
+    @staticmethod
+    def _star_dual_file(tmp_path, q):
+        path = tmp_path / f"star{q}.json"
+        names = [f"v{i}" for i in range(1, q + 1)]
+        path.write_text(json.dumps(
+            {"vertices": ["c", *names], "facets": [["c", v] for v in names]}
+        ))
+        return str(path)
+
+    def test_tree_joint_all_on_the_six_star_prints_every_tree(self, tmp_path, capsys):
+        assert main(["tree", "--joint", "all", "--input",
+                     self._star_dual_file(tmp_path, 6)]) == 0
+        assert capsys.readouterr().out.startswith("1296 tree(s)\n")
+
+    def test_tree_joint_all_refuses_the_seven_star(self, tmp_path, capsys):
+        # 7! leaf orders walk 4,399,920 partial edge lists in all.
+        assert main(["tree", "--joint", "all", "--input",
+                     self._star_dual_file(tmp_path, 7)]) == 2
+        assert "tree enumeration guard exceeded" in capsys.readouterr().err
+
     @pytest.mark.parametrize("joint", [[], ["--joint", "all"]], ids=["first", "all"])
     def test_tree_of_non_quasi_forest_is_an_error(self, joint):
         complex_json = complex_to_json(cycle_with_pendants())

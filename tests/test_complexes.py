@@ -294,15 +294,18 @@ class TestLeafOrders:
         if leaf_order(D, "greedy") is not None:
             assert D.q <= len(D.used_vertices)
 
-    def test_greedy_is_the_identity_whenever_that_is_a_leaf_order(self):
-        # The greedy order peels the largest-index leaf: facet q-1 is a
-        # leaf of an identity leaf order, and so on down the prefixes.
-        identities = 0
-        for D in census_complexes(5):
-            if is_leaf_order(D, range(D.q)):
-                assert leaf_order(D, "greedy") == tuple(range(D.q)), D
-                identities += 1
-        assert identities == 721
+    def test_greedy_takes_the_facet_that_meets_the_most_taken_vertices(self):
+        # After {x1,x2}, facet {x1,x5} meets one taken vertex and {x3,x4}
+        # none, so the search takes it second.
+        D = cx(["x1", "x2", "x3", "x4", "x5"],
+               [("x1", "x2"), ("x3", "x4"), ("x1", "x5")])
+        assert leaf_order(D, "greedy") == (0, 2, 1)
+
+    @given(complexes(max_vertices=8, max_facets=10))
+    def test_greedy_agrees_with_exhaustive(self, D):
+        order = leaf_order(D, "greedy")
+        assert (order is None) == (leaf_order(D, "exhaustive") is None)
+        assert order is None or is_leaf_order(D, order)
 
 
 class TestQuasiForestRecognizers:

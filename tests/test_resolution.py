@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -13,9 +14,10 @@ from treeres.complexes import (
     is_full_simplex,
     is_leaf_order,
     leaf_order,
+    _joint_positions,
     _step_joints,
 )
-from treeres.duality import dual_facets
+from treeres.duality import dual_facets, dual_generators
 from treeres.monomial import (
     Monomial,
     VariableSet,
@@ -434,6 +436,22 @@ class TestBuildTree:
         with pytest.raises(ValueError, match="quasi-forest"):
             build_tree(hollow_triangle())
 
+    def test_tree_on_a_shuffled_path_finds_each_joint_once(self, monkeypatch):
+        # The search certifies its order with one joint lookup per step.
+        q = 200
+        facets = [(f"x{i}", f"x{i + 1}") for i in range(q)]
+        random.Random(1).shuffle(facets)
+        D = cx([f"x{i}" for i in range(q + 1)], facets)
+        calls = []
+
+        def counting(masks, i):
+            calls.append(i)
+            return _joint_positions(masks, i)
+
+        monkeypatch.setattr("treeres.complexes._joint_positions", counting)
+        assert _tree_on(dual_generators(D)) is not None
+        assert len(calls) == q - 1
+
     def test_disconnected_dual_still_yields_tree(self):
         # Two generators with complementary supports have a disconnected
         # dual; the construction still produces the (Koszul) edge.
@@ -459,7 +477,7 @@ class TestResolveFastPaths:
     @given(squarefree_ideals(X5, max_gens=6))
     def test_tree_on_the_ideal_is_build_tree_on_the_dual(self, I):
         # A principal ideal whose generator uses every variable has no
-        # dual complex, but still peels to its single-vertex tree.
+        # dual complex, but still gets its single-vertex tree.
         found = _tree_on(I)
         if I.q == 1:
             assert found[0] == (0,)
