@@ -17,8 +17,7 @@ from typing import Iterator
 
 from .complexes import (
     SimplicialComplex,
-    _acyclic,
-    _mask_names,
+    _forest_edges,
     _masks_by_size,
     _subcollections_have_leaves,
     _vertex_components,
@@ -83,8 +82,7 @@ def antichain_covers(n: int) -> Iterator[tuple[int, ...]]:
 
 def complex_from_masks(n: int, masks: tuple[int, ...]) -> SimplicialComplex:
     vars = VariableSet(tuple([f"x{i + 1}" for i in range(n)]))
-    facets = [frozenset(_mask_names(vars.names, m)) for m in masks]
-    return SimplicialComplex(vars, tuple(facets))
+    return SimplicialComplex._of_masks(vars, masks)
 
 
 # n -> one table per permutation of range(n): the image of every mask.
@@ -325,8 +323,8 @@ def _check_built_trees(D, I, table, rep: ComplexReport) -> bool:
         if F.length == 2:
             edges = frame_to_graph(frame(F))
             vertices = F.ranks[1]
-            if edges is None or len(edges) != vertices - 1 or not _acyclic(
-                vertices, edges
+            if edges is None or not (
+                len(edges) == vertices - 1 == len(_forest_edges(vertices, edges))
             ):
                 rep.violations.append("frame is not the chain complex of a tree")
         hdims = reduced_homology_dims(T.complex)

@@ -15,6 +15,7 @@ from pathlib import Path
 from .census import run_census
 from .complexes import (
     EmptyComplex,
+    _facet_names,
     complex_from_json,
     complex_to_json,
     is_connected,
@@ -76,9 +77,10 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True) + "\n"
 
 
-def _write_dot(args, tree: LabeledComplex) -> None:
+def _write_dot(args, *trees: LabeledComplex) -> None:
+    """Write the trees' DOT graphs to the ``--dot`` file, one after another."""
     if args.dot:
-        Path(args.dot).write_text(tree_to_dot(tree))
+        Path(args.dot).write_text("".join(map(tree_to_dot, trees)))
 
 
 def _order_label(order) -> str:
@@ -88,18 +90,14 @@ def _order_label(order) -> str:
 def _tree_text(tree: LabeledComplex) -> str:
     D = tree.complex
     lines = [f"{v} [{tree.label_of(v)}]" for v in D.vertices.names]
-    for f in D.facets:
-        if len(f) == 2:
-            a, b = sorted(f, key=D.vertices.index)
-            label = lcm(tree.label_of(a), tree.label_of(b))
-            lines.append(f"{a} -- {b} [{label}]")
+    for a, b in (f for f in _facet_names(D) if len(f) == 2):
+        lines.append(f"{a} -- {b} [{lcm(tree.label_of(a), tree.label_of(b))}]")
     return "\n".join(lines) + "\n"
 
 
 def _facets_text(D) -> str:
     return "".join(
-        f"F{i + 1} = {{{','.join(sorted(f, key=D.vertices.index))}}}\n"
-        for i, f in enumerate(D.facets)
+        f"F{i + 1} = {{{','.join(f)}}}\n" for i, f in enumerate(_facet_names(D))
     )
 
 
@@ -179,6 +177,7 @@ def cmd_quasiforest(args) -> int:
 
 
 def _emit_trees(args, trees: list[LabeledComplex]) -> None:
+    _write_dot(args, *trees)
     if args.format == "json":
         _emit(args, _dump_json([labeled_complex_to_json(t) for t in trees]))
     else:

@@ -6,9 +6,11 @@ vertex set of the complex itself is ``used_vertices``.  Facet order is
 significant because leaf orders are orders on the facet list; equality and
 hashing use the canonical (sorted) form instead.
 
-Faces, components and the leaf machinery run on vertex bitmasks here and
-only here: bit i is universe vertex i.  The public API works with
-frozensets of vertex names.
+A complex stores its facets as vertex bitmasks, bit i being universe
+vertex i, and faces, components and the leaf machinery run on them.  This
+module alone turns bits into names: for the name constructor, the public
+API's frozensets of vertex names, ``repr`` and the JSON form, and, through
+``_facet_names``, for every other module that prints a complex.
 """
 
 from __future__ import annotations
@@ -36,32 +38,54 @@ class VoidComplex:
     vertices: VariableSet
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class SimplicialComplex:
+    """A facet antichain over the universe ``vertices``, stored as facet
+    masks in presentation order.  ``SimplicialComplex(vertices, facets)``
+    takes facets as collections of names, package code that holds masks
+    calls ``_of_masks``, and both run one antichain check on the masks;
+    ``facets`` gives them back as name frozensets."""
+
     vertices: VariableSet
-    facets: tuple[frozenset[str], ...]
+    _facet_masks: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "facets", tuple([frozenset(f) for f in self.facets])
-        )
-        if not self.facets:
+    def __init__(self, vertices: VariableSet, facets: Iterable[Iterable[str]]):
+        facets = [frozenset(f) for f in facets]
+        outside = frozenset().union(*facets).difference(vertices.names)
+        if outside:
+            raise ValueError(f"facet vertex {min(outside)!r} outside the universe")
+        self._hold(vertices, [sum([1 << vertices.index(v) for v in f]) for f in facets])
+
+    @classmethod
+    def _of_masks(cls, vertices: VariableSet, masks: Sequence[int]) -> SimplicialComplex:
+        D = cls.__new__(cls)
+        D._hold(vertices, masks)
+        return D
+
+    def _hold(self, vertices: VariableSet, masks: Sequence[int]) -> None:
+        """Store the universe and the masks once they pass the antichain check."""
+        if not masks:
             raise ValueError("a complex needs at least one facet")
-        for f in self.facets:
-            if not f:
-                raise ValueError("facets must be nonempty")
-            for v in f:
-                if v not in self.vertices:
-                    raise ValueError(f"facet vertex {v!r} outside the universe")
-        for i, f in enumerate(self.facets):
-            for j, g in enumerate(self.facets):
-                if i != j and f <= g:
-                    raise ValueError(
-                        f"facets are not an antichain: {sorted(f)} within {sorted(g)}"
-                    )
+        if not all(masks):
+            raise ValueError("facets must be nonempty")
+        # A mask lies only in its equal or in a mask with more bits; the
+        # sizes spare the big-integer test on the other pairs.
+        sizes = [m.bit_count() for m in masks]
+        for i, f in enumerate(masks):
+            for j, g in enumerate(masks):
+                if i != j and (f == g or sizes[i] < sizes[j] and f & ~g == 0):
+                    f, g = (sorted(_mask_names(vertices.names, m)) for m in (f, g))
+                    raise ValueError(f"facets are not an antichain: {f} within {g}")
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "_facet_masks", tuple(masks))
 
-    # Equality and hashing use the canonical form; presentation order is
-    # available via .facets for leaf-order semantics.
+    @cached_property
+    def facets(self) -> tuple[frozenset[str], ...]:
+        return tuple([frozenset(f) for f in _facet_names(self)])
+
+    # Equality and hashing compare names, since equal complexes may list
+    # their vertices in different orders; presentation order is available
+    # via .facets for leaf-order semantics.
     def __eq__(self, other):
         if not isinstance(other, SimplicialComplex):
             return NotImplemented
@@ -78,46 +102,27 @@ class SimplicialComplex:
 
     @property
     def q(self) -> int:
-        return len(self.facets)
+        return len(self._facet_masks)
 
     @property
     def dim(self) -> int:
-        return max(len(f) for f in self.facets) - 1
+        return max([m.bit_count() for m in self._facet_masks]) - 1
 
     @cached_property
     def used_vertices(self) -> frozenset[str]:
-        out: set[str] = set()
-        for f in self.facets:
-            out |= f
-        return frozenset(out)
-
-    @cached_property
-    def _facet_masks(self) -> tuple[int, ...]:
-        return tuple([self._mask(f) for f in self.facets])
-
-    def _mask(self, vs: Iterable[str]) -> int:
-        mask = 0
-        for v in vs:
-            mask |= 1 << self.vertices.index(v)
-        return mask
-
-    def _unmask(self, mask: int) -> frozenset[str]:
-        return frozenset(_mask_names(self.vertices.names, mask))
+        return frozenset(_mask_names(self.vertices.names, _union(self._facet_masks)))
 
     def __repr__(self):
-        facets = ", ".join(
-            "{" + ",".join(sorted(f, key=self.vertices.index)) + "}"
-            for f in self.facets
-        )
+        facets = ", ".join("{" + ",".join(f) + "}" for f in _facet_names(self))
         return f"<{facets}> on {{{', '.join(self.vertices.names)}}}"
 
 
 def full_simplex(vertices: VariableSet) -> SimplicialComplex:
-    return SimplicialComplex(vertices, (frozenset(vertices.names),))
+    return SimplicialComplex._of_masks(vertices, [(1 << vertices.n) - 1])
 
 
 def is_full_simplex(D: SimplicialComplex) -> bool:
-    return D.q == 1 and D.facets[0] == frozenset(D.vertices.names)
+    return D._facet_masks == ((1 << D.n) - 1,)
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +134,24 @@ def is_full_simplex(D: SimplicialComplex) -> bool:
 def _mask_names(names: Sequence[str], mask: int) -> list[str]:
     """The names whose positions are set in mask, in order."""
     return [name for i, name in enumerate(names) if mask >> i & 1]
+
+
+def _facet_names(D: SimplicialComplex) -> list[list[str]]:
+    """Each facet's vertex names in vertex order, facets in presentation
+    order: the one source of names for printing a complex."""
+    return [_mask_names(D.vertices.names, m) for m in D._facet_masks]
+
+
+def _name_sorted(vertices: VariableSet, masks: Iterable[int]) -> list[int]:
+    """The masks ordered as ``sorted`` orders their name lists (x10 before x2)."""
+    return sorted(masks, key=lambda m: _mask_names(vertices.names, m))
+
+
+def _union(masks: Iterable[int]) -> int:
+    out = 0
+    for m in masks:
+        out |= m
+    return out
 
 
 class _DisjointSets:
@@ -167,12 +190,6 @@ def _forest_edges(n: int, edges: Iterable[tuple[int, int]]) -> list[tuple[int, i
     return [(a, b) for a, b in edges if sets.union(a, b)]
 
 
-def _acyclic(n_vertices: int, edges: Iterable[tuple[int, int]]) -> bool:
-    """The graph on range(n_vertices) with these edges has no cycle."""
-    edges = list(edges)
-    return len(_forest_edges(n_vertices, edges)) == len(edges)
-
-
 def _vertex_components(n: int, facet_masks: Iterable[int]) -> list[int]:
     """Components of the complex with these facet masks over range(n), as
     vertex masks in order of smallest vertex; a vertex in no facet is a
@@ -202,9 +219,7 @@ def _submasks(facet_masks: Iterable[int]) -> set[int]:
 def _transpose(masks: Sequence[int]) -> list[int]:
     """The columns of the 0/1 matrix whose row i is masks[i]: one mask of
     row positions per bit set in some row, in bit order."""
-    union = 0
-    for m in masks:
-        union |= m
+    union = _union(masks)
     columns = []
     while union:
         low = union & -union
@@ -394,7 +409,8 @@ def _all_leaf_orders(masks: Sequence[int]) -> Iterator[tuple[int, ...]]:
 
 def faces(D: SimplicialComplex) -> frozenset[frozenset[str]]:
     """All nonempty faces; refuses past 2^SUBSET_GUARD facet subsets in total."""
-    return frozenset([D._unmask(m) for m in _face_masks(D)])
+    names = D.vertices.names
+    return frozenset([frozenset(_mask_names(names, m)) for m in _face_masks(D)])
 
 
 def f_vector(D: SimplicialComplex) -> tuple[int, ...]:
@@ -416,19 +432,15 @@ def induced(D: SimplicialComplex, W: Iterable[str]):
     for v in wset:
         if v not in D.vertices:
             raise ValueError(f"W contains {v!r}, not a universe vertex")
-    wmask = D._mask(wset)
+    wmask = sum([1 << D.vertices.index(v) for v in wset])
     pieces = _maximal(m for m in (f & wmask for f in D._facet_masks) if m)
     if not pieces:
         sub_names = tuple([n for n in D.vertices.names if n in wset])
         return EmptyComplex(VariableSet(sub_names))
-    present = 0
-    for m in pieces:
-        present |= m
     names = D.vertices.names
     new_facets = sorted([_mask_names(names, m) for m in pieces])
     return SimplicialComplex(
-        VariableSet(tuple(_mask_names(names, present))),
-        tuple([frozenset(f) for f in new_facets]),
+        VariableSet(tuple(_mask_names(names, _union(pieces)))), new_facets
     )
 
 
@@ -482,13 +494,13 @@ def is_simplicial_forest(D: SimplicialComplex) -> bool:
     On a graph (dim <= 1) this is acyclicity.  A vertex facet is always a
     leaf, and an edge is a leaf of a subcollection iff one of its endpoints
     has degree 1 there, so a leafless subcollection is a set of edges with
-    every degree >= 2: a graph has one iff it has a cycle.  Higher
-    dimensions sweep all 2^q subcollections.
+    every degree >= 2: a graph has one iff it has a cycle, that is iff it
+    has more than n - c edges for its c components.  Higher dimensions
+    sweep all 2^q subcollections.
     """
     if D.dim <= 1:
-        index = D.vertices.index
-        edges = ([index(v) for v in f] for f in D.facets if len(f) == 2)
-        return _acyclic(D.n, edges)
+        edges = [f for f in D._facet_masks if f.bit_count() == 2]
+        return len(edges) == D.n - len(_vertex_components(D.n, edges))
     return _subcollections_have_leaves(D._facet_masks)
 
 
@@ -507,13 +519,17 @@ def _subcollections_have_leaves(masks: Sequence[int]) -> bool:
 def connected_components(D: SimplicialComplex) -> tuple[frozenset[str], ...]:
     """Partition of the universe in order of smallest vertex; unused
     ambient vertices are singletons."""
-    return tuple([D._unmask(c) for c in _vertex_components(D.n, D._facet_masks)])
+    names = D.vertices.names
+    return tuple([
+        frozenset(_mask_names(names, c))
+        for c in _vertex_components(D.n, D._facet_masks)
+    ])
 
 
 def is_connected(D: SimplicialComplex) -> bool:
     """One component holds every vertex that lies in a facet; ambient
     vertices in no facet do not count."""
-    return D._mask(D.used_vertices) in _vertex_components(D.n, D._facet_masks)
+    return _union(D._facet_masks) in _vertex_components(D.n, D._facet_masks)
 
 
 # ---------------------------------------------------------------------------
@@ -523,10 +539,7 @@ def is_connected(D: SimplicialComplex) -> bool:
 def complex_to_json(D) -> dict:
     if isinstance(D, EmptyComplex):
         return {"vertices": list(D.vertices.names), "facets": []}
-    return {
-        "vertices": list(D.vertices.names),
-        "facets": [sorted(f, key=D.vertices.index) for f in D.facets],
-    }
+    return {"vertices": list(D.vertices.names), "facets": _facet_names(D)}
 
 
 def _is_name_list(x) -> bool:
@@ -544,7 +557,6 @@ def complex_from_json(obj: dict):
             "and 'facets' as a list of name lists"
         )
     vars = VariableSet(tuple(obj["vertices"]))
-    facets = tuple([frozenset(f) for f in obj["facets"]])
-    if not facets:
+    if not obj["facets"]:
         return EmptyComplex(vars)
-    return SimplicialComplex(vars, facets)
+    return SimplicialComplex(vars, obj["facets"])

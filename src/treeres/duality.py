@@ -17,8 +17,8 @@ from .complexes import (
     SimplicialComplex,
     SUBSET_GUARD,
     VoidComplex,
-    _mask_names,
     _masks_by_size,
+    _name_sorted,
     _submasks,
     full_simplex,
     is_full_simplex,
@@ -67,14 +67,15 @@ def _minimal_nonfaces(n: int, facet_masks: Iterable[int]) -> list[int]:
 
 
 def _complement_complex(vars: VariableSet, masks: list[int]):
-    """Complex whose facets are the complements of these masks, sorted as
-    name tuples; the full mask alone has the empty face as its complement,
-    which gives the empty complex."""
+    """Complex whose facet masks are the complements of these masks, in
+    the order ``sorted`` gives their name lists; the full mask alone has
+    the empty face as its complement, which gives the empty complex."""
     full = (1 << vars.n) - 1
     if masks == [full]:
         return EmptyComplex(vars)
-    facets = sorted([_mask_names(vars.names, full ^ m) for m in masks])
-    return SimplicialComplex(vars, tuple([frozenset(f) for f in facets]))
+    return SimplicialComplex._of_masks(
+        vars, _name_sorted(vars, [full ^ m for m in masks])
+    )
 
 
 def sr_ideal(D):
@@ -116,31 +117,28 @@ def alexander_dual(D):
         n = D.vertices.n
         if n == 1:
             return EmptyComplex(D.vertices)
-        names = D.vertices.names
-        facets = [frozenset(names[:i] + names[i + 1:]) for i in range(n)]
-        return SimplicialComplex(D.vertices, tuple(facets))
+        full = (1 << n) - 1
+        return SimplicialComplex._of_masks(
+            D.vertices, [full ^ (1 << i) for i in range(n)]
+        )
     if is_full_simplex(D):
         return VoidComplex(D.vertices)
     return _complement_complex(D.vertices, _minimal_nonfaces(D.n, D._facet_masks))
 
 
 def dual_facets(I: MonomialIdeal) -> SimplicialComplex:
-    """One facet per generator: the complement of its support.
+    """One facet mask per generator: the complement of its support mask.
 
     Facet order equals generator order; the ambient universe is the
     ideal's variable set.
     """
     if not I.is_squarefree():
         raise ValueError("dual facets need a squarefree ideal; polarize first")
-    names = I.vars.names
     full = (1 << I.vars.n) - 1
-    facets = []
-    for g in I.generators:
-        comp = full ^ g.support_mask
-        if not comp:
-            raise ValueError(f"generator {g} uses every variable")
-        facets.append(frozenset(_mask_names(names, comp)))
-    return SimplicialComplex(I.vars, tuple(facets))
+    masks = [full ^ g.support_mask for g in I.generators]
+    if not all(masks):
+        raise ValueError(f"generator {I.generators[masks.index(0)]} uses every variable")
+    return SimplicialComplex._of_masks(I.vars, masks)
 
 
 def dual_generators(D: SimplicialComplex) -> MonomialIdeal:
@@ -151,10 +149,10 @@ def dual_generators(D: SimplicialComplex) -> MonomialIdeal:
     """
     full = (1 << D.n) - 1
     gens = []
-    for f, mask in zip(D.facets, D._facet_masks):
+    for mask in D._facet_masks:
         if mask == full:
             raise ValueError(
-                f"facet {{{','.join(sorted(f))}}} equals the universe"
+                f"facet {{{','.join(sorted(D.vertices.names))}}} equals the universe"
             )
         gens.append(_mask_monomial(D.vertices, full ^ mask))
     return MonomialIdeal(D.vertices, tuple(gens))

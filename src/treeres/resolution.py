@@ -16,12 +16,15 @@ from typing import Iterator, Sequence
 from .complexes import (
     SimplicialComplex,
     _face_masks,
+    _facet_names,
     _faces_by_dim,
     _forest_edges,
     _leaf_search,
     _signed_boundary,
     _step_joints,
+    _union,
     _vertex_components,
+    full_simplex,
     is_simplicial_forest,
     all_leaf_orders,
 )
@@ -178,8 +181,7 @@ def taylor(I: MonomialIdeal) -> FreeComplex:
     """Homogenization of the full simplex on the generators."""
     if I.q > TAYLOR_GUARD:
         raise ValueError(f"taylor guard exceeded (q={I.q})")
-    verts = _generator_vertex_names(I.q)
-    D = SimplicialComplex(verts, (frozenset(verts.names),))
+    D = full_simplex(_generator_vertex_names(I.q))
     return homogenize(LabeledComplex(D, I.generators))
 
 
@@ -211,13 +213,11 @@ def _paths_under_pair_lcms(L: LabeledComplex) -> bool:
     on which lcm is bitwise or and divisibility is inclusion: O(q^2) steps.
     """
     D = L.complex
-    index = D.vertices.index
-    adjacent: dict[int, list[int]] = {
-        i: [] for i in sorted(map(index, D.used_vertices))
-    }
-    for f in D.facets:
-        if len(f) == 2:
-            a, b = map(index, f)
+    used = _union(D._facet_masks)
+    adjacent: dict[int, list[int]] = {i: [] for i in range(D.n) if used >> i & 1}
+    for f in D._facet_masks:
+        if f.bit_count() == 2:
+            a, b = (f & -f).bit_length() - 1, f.bit_length() - 1
             adjacent[a].append(b)
             adjacent[b].append(a)
     labels, _ = exponent_masks(L.labels)
@@ -246,7 +246,7 @@ def _divisor_induced_connected(L: LabeledComplex) -> bool:
     components are the ``_vertex_components`` that meet those vertices.
     """
     D = L.complex
-    used = D._mask(D.used_vertices)
+    used = _union(D._facet_masks)
     labels, _ = exponent_masks(L.labels)
     for top in lcm_closure(labels):
         W = used & sum([1 << v for v, lab in enumerate(labels) if lab & ~top == 0])
@@ -272,13 +272,10 @@ def is_minimal_support(F: FreeComplex) -> bool:
 
 
 def _tree_complex(q: int, edges: Sequence[tuple[int, int]]) -> SimplicialComplex:
-    verts = _generator_vertex_names(q)
-    if q == 1:
-        return SimplicialComplex(verts, (frozenset({verts.names[0]}),))
-    facets = tuple(
-        [frozenset({verts.names[a], verts.names[b]}) for a, b in edges]
-    )
-    return SimplicialComplex(verts, facets)
+    """The graph on generator vertices v1..vq with one edge mask per edge,
+    in edge order; no edges gives the single vertex v1."""
+    masks = [(1 << a) | (1 << b) for a, b in edges] or [1]
+    return SimplicialComplex._of_masks(_generator_vertex_names(q), masks)
 
 
 def build_tree(D: SimplicialComplex) -> LabeledComplex:
@@ -433,7 +430,7 @@ def labeled_complex_to_json(L: LabeledComplex) -> dict:
     return {
         "vars": list(L.label_vars.names),
         "vertices": list(D.vertices.names),
-        "facets": [sorted(f, key=D.vertices.index) for f in D.facets],
+        "facets": _facet_names(D),
         "labels": {
             v: str(m) for v, m in zip(D.vertices.names, L.labels)
         },
@@ -446,10 +443,7 @@ def tree_to_dot(L: LabeledComplex) -> str:
     lines = ["graph tree {"]
     for v in D.vertices.names:
         lines.append(f'  {v} [label="{L.label_of(v)}"];')
-    for f in D.facets:
-        if len(f) == 2:
-            a, b = sorted(f, key=D.vertices.index)
-            label = lcm(L.label_of(a), L.label_of(b))
-            lines.append(f'  {a} -- {b} [label="{label}"];')
+    for a, b in (f for f in _facet_names(D) if len(f) == 2):
+        lines.append(f'  {a} -- {b} [label="{lcm(L.label_of(a), L.label_of(b))}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

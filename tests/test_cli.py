@@ -212,6 +212,21 @@ class TestTreeCommands:
                      self._star_dual_file(tmp_path, 6)]) == 0
         assert capsys.readouterr().out.startswith("1296 tree(s)\n")
 
+    def test_tree_joint_all_writes_every_tree_to_dot(self, tmp_path, capsys):
+        dot_path = tmp_path / "trees.dot"
+        assert main(["tree", "--joint", "all", "--input",
+                     self._star_dual_file(tmp_path, 3), "--dot", str(dot_path)]) == 0
+        text = capsys.readouterr().out
+        dot = dot_path.read_text()
+        assert text.startswith("3 tree(s)\n")
+        assert dot.count("graph tree {") == 3
+
+        def edges(lines):
+            return [line.strip().split(" [")[0] for line in lines if " -- " in line]
+
+        assert len(edges(text.splitlines())) == 6
+        assert edges(dot.splitlines()) == edges(text.splitlines())
+
     def test_tree_joint_all_refuses_the_seven_star(self, tmp_path, capsys):
         # 7! leaf orders walk 4,399,920 partial edge lists in all.
         assert main(["tree", "--joint", "all", "--input",

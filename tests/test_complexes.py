@@ -470,6 +470,44 @@ class TestCanonicalForm:
             cx("abc", [("a", "b"), ("a", "b", "c")])
 
 
+class TestConstructors:
+    """The name constructor and the mask constructor build one complex."""
+
+    @given(complexes(ambient=True))
+    def test_names_and_masks_give_the_same_complex(self, D):
+        for E in (
+            SimplicialComplex(D.vertices, D.facets),
+            SimplicialComplex._of_masks(D.vertices, D._facet_masks),
+        ):
+            assert E._facet_masks == D._facet_masks
+            assert E.facets == D.facets
+            assert E == D
+            assert hash(E) == hash(D)
+
+    @pytest.mark.parametrize(
+        "facets, message",
+        [
+            ([], "a complex needs at least one facet"),
+            ([("a",), ()], "facets must be nonempty"),
+            ([("b", "c"), ("c", "a", "b")],
+             "facets are not an antichain: ['b', 'c'] within ['a', 'b', 'c']"),
+        ],
+        ids=["no-facets", "empty-facet", "nested-pair"],
+    )
+    def test_both_constructors_refuse_alike(self, facets, message):
+        V = VariableSet(("a", "b", "c"))
+        masks = [sum(1 << V.index(v) for v in f) for f in facets]
+        with pytest.raises(ValueError) as by_names:
+            SimplicialComplex(V, facets)
+        with pytest.raises(ValueError) as by_masks:
+            SimplicialComplex._of_masks(V, masks)
+        assert str(by_names.value) == str(by_masks.value) == message
+
+    def test_name_outside_the_universe(self):
+        with pytest.raises(ValueError, match="facet vertex 'd' outside the universe"):
+            SimplicialComplex(VariableSet(("a", "b")), [("a",), ("b", "d")])
+
+
 class TestJson:
     def test_round_trip_preserves_facet_order(self):
         D = six_var_dual()

@@ -102,3 +102,15 @@ def test_every_module_level_import_is_used():
             if bound not in named
         ]
     assert unused == []
+
+
+def test_only_complexes_turns_vertex_bits_into_names():
+    # Which name a vertex bit stands for is decided in complexes.py alone;
+    # other modules print a complex through complexes._facet_names.
+    found = sorted(
+        path.name
+        for path in SRC.glob("*.py")
+        if path.name != "complexes.py"
+        and any("_mask_names" in named for _, named in _names_by_statement(path))
+    )
+    assert found == []
