@@ -1,10 +1,10 @@
 """Simplicial complexes as facet antichains over an ambient vertex universe.
 
 The `vertices` field is the ambient universe and may be larger than the
-union of the facets (needed so duality can invert complements); the derived
-vertex set of the complex itself is ``used_vertices``.  Facet order is
-significant because leaf orders are orders on the facet list; equality and
-hashing use the canonical (sorted) form instead.
+union of the facets, the vertices the complex itself uses (needed so
+duality can invert complements).  Facet order is significant because leaf
+orders are orders on the facet list; equality and hashing use the
+canonical (sorted) form instead.
 
 A complex stores its facets as vertex bitmasks, bit i being universe
 vertex i, and faces, components and the leaf machinery run on them.  This
@@ -107,10 +107,6 @@ class SimplicialComplex:
     @property
     def dim(self) -> int:
         return max([m.bit_count() for m in self._facet_masks]) - 1
-
-    @cached_property
-    def used_vertices(self) -> frozenset[str]:
-        return frozenset(_mask_names(self.vertices.names, _union(self._facet_masks)))
 
     def __repr__(self):
         facets = ", ".join("{" + ",".join(f) + "}" for f in _facet_names(self))

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Collection, Iterable, Sequence
 
 from .complexes import (
@@ -165,13 +164,6 @@ class BettiTable:
                 raise ValueError("entries must have i >= 0 and positive counts")
             if m.vars != self.vars:
                 raise ValueError("multidegree over a different variable set")
-
-    @cached_property
-    def graded(self) -> dict[tuple[int, Monomial], int]:
-        return {(i, m): b for i, m, b in self.entries}
-
-    def beta(self, i: int, m: Monomial) -> int:
-        return self.graded.get((i, m), 0)
 
     def totals(self) -> tuple[int, ...]:
         top = max(i for i, _, _ in self.entries)

@@ -283,16 +283,14 @@ POLARIZE_GUARD = 10_000  # polarize refuses past this sum of maximal exponents
 def polarize(I: MonomialIdeal) -> tuple[MonomialIdeal, dict[str, tuple[str, int]]]:
     """Standard polarization: x^a becomes the product of the first a copies.
 
-    Variables with maximum exponent <= 1 keep their names, so a squarefree
-    ideal comes back unchanged with the identity map.  Returns the new
-    ideal and a map new-name -> (old-name, copy index).  Otherwise the new
-    ring has about sum_i max_exp_i variables, and polarize refuses when
-    that sum passes POLARIZE_GUARD.
+    Copy j of x is 1 in a new generator exactly when x^j divides the old
+    one.  Variables with maximum exponent <= 1 keep their names, so a
+    squarefree ideal comes back unchanged with the identity map.  Returns
+    the new ideal and a map new-name -> (old-name, copy index).  Otherwise
+    the new ring has about sum_i max_exp_i variables, and polarize refuses
+    when that sum passes POLARIZE_GUARD.
     """
-    max_exp = [0] * I.vars.n
-    for g in I.generators:
-        for i, e in enumerate(g.exponents):
-            max_exp[i] = max(max_exp[i], e)
+    max_exp = [max(column) for column in zip(*[g.exponents for g in I.generators])]
     if all(e <= 1 for e in max_exp):
         return I, {name: (name, 1) for name in I.vars.names}
     if sum(max_exp) > POLARIZE_GUARD:
@@ -300,34 +298,17 @@ def polarize(I: MonomialIdeal) -> tuple[MonomialIdeal, dict[str, tuple[str, int]
             f"polarize guard exceeded (sum of maximal exponents {sum(max_exp)}, "
             f"limit {POLARIZE_GUARD})"
         )
-
-    new_names: list[str] = []
-    copies: list[list[int]] = []  # per old index, positions of its copies
-    varmap: dict[str, tuple[str, int]] = {}
-    for i, name in enumerate(I.vars.names):
-        if max_exp[i] <= 1:
-            copies.append([len(new_names)])
-            varmap[name] = (name, 1)
-            new_names.append(name)
-        else:
-            slots = []
-            for j in range(1, max_exp[i] + 1):
-                copy = f"{name}_{j}"
-                varmap[copy] = (name, j)
-                slots.append(len(new_names))
-                new_names.append(copy)
-            copies.append(slots)
-    new_vars = VariableSet(tuple(new_names))
-
-    new_gens = []
-    for g in I.generators:
-        exps = [0] * new_vars.n
-        for i, e in enumerate(g.exponents):
-            for j in range(e):
-                exps[copies[i][j]] = 1
-        new_gens.append(Monomial(new_vars, tuple(exps)))
+    names = I.vars.names
+    # One (variable index, copy index) slot per new variable, in order.
+    slots = [(i, j) for i, top in enumerate(max_exp) for j in range(1, max(top, 1) + 1)]
+    # VariableSet, not a dict, so a copy name equal to a kept name raises.
+    new_vars = VariableSet(tuple([
+        names[i] if max_exp[i] <= 1 else f"{names[i]}_{j}" for i, j in slots
+    ]))
+    rows = [tuple([int(g.exponents[i] >= j) for i, j in slots]) for g in I.generators]
+    varmap = dict(zip(new_vars.names, [(names[i], j) for i, j in slots]))
     # Polarization preserves divisibility both ways, so minimality survives.
-    return MonomialIdeal(new_vars, tuple(new_gens)), varmap
+    return MonomialIdeal(new_vars, tuple([Monomial(new_vars, r) for r in rows])), varmap
 
 
 # ---------------------------------------------------------------------------
@@ -338,70 +319,61 @@ def polarize(I: MonomialIdeal) -> tuple[MonomialIdeal, dict[str, tuple[str, int]
 _FACTOR_RE = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*)\s*(?:\^\s*(\d+))?\s*\Z")
 
 
-def _tokenize_generators(lines: list[tuple[int, str]]):
-    """Yield (line_no, column, generator_text) for comma-separated chunks."""
-    for line_no, line in lines:
-        col = 0
-        for chunk in line.split(","):
-            stripped = chunk.strip()
-            if stripped:
-                yield line_no, col + chunk.index(stripped[0]) + 1, stripped
-            col += len(chunk) + 1
-
-
 def parse_ideal(text: str) -> MonomialIdeal:
     """Parse the ideal text format; infers variables when no header is given."""
-    raw_lines = text.splitlines()
-    body: list[tuple[int, str]] = []
+    lines = text.splitlines()
     header: list[str] | None = None
-    for idx, line in enumerate(raw_lines, start=1):
+    in_body = False  # set by the first line that is not blank, comment or header
+    parsed: list[tuple[int, int, dict[str, int]]] = []  # line, column, powers
+    for line_no, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        if header is None and not body and stripped.split()[0] == "vars":
+        if header is None and not in_body and stripped.split()[0] == "vars":
             header = stripped.split()[1:]
             if not header:
-                raise ParseError("empty vars header", idx, 1)
+                raise ParseError("empty vars header", line_no, 1)
             continue
-        body.append((idx, line))
-
-    # First pass: split into factors, remember positions for error messages.
-    parsed: list[tuple[int, int, list[tuple[str, int]]]] = []
-    for line_no, col, gen_text in _tokenize_generators(body):
-        factors = []
-        offset = col
-        for piece in gen_text.split("*"):
-            m = _FACTOR_RE.match(piece)
-            if not m:
-                raise ParseError(f"bad factor {piece.strip()!r}", line_no, offset)
-            name, exp = m.group(1), int(m.group(2) or 1)
-            factors.append((name, exp))
-            offset += len(piece) + 1
-        parsed.append((line_no, col, factors))
+        in_body = True
+        chunk_col = 1
+        for chunk in line.split(","):
+            gen_text = chunk.strip()
+            if gen_text:
+                col = chunk_col + chunk.index(gen_text[0])
+                powers: dict[str, int] = {}
+                offset = col
+                for piece in gen_text.split("*"):
+                    m = _FACTOR_RE.match(piece)
+                    if not m:
+                        raise ParseError(f"bad factor {piece.strip()!r}", line_no, offset)
+                    name, digits = m.groups()
+                    try:
+                        exp = int(digits or 1)
+                    except ValueError:  # more digits than sys.get_int_max_str_digits()
+                        raise ParseError("exponent too long", line_no, offset) from None
+                    powers[name] = powers.get(name, 0) + exp
+                    offset += len(piece) + 1
+                parsed.append((line_no, col, powers))
+            chunk_col += len(chunk) + 1
     # An empty body, or one of commas and blanks only, reads no generator.
     if not parsed:
-        raise ParseError("no generators found", len(raw_lines) or 1, 1)
+        raise ParseError("no generators found", len(lines) or 1, 1)
 
-    if header is not None:
+    if header is None:
+        # A dict keeps first appearances in order with O(1) membership.
+        vars = VariableSet(tuple(dict.fromkeys([n for _, _, p in parsed for n in p])))
+    else:
         vars = VariableSet(tuple(header))
-        for line_no, col, factors in parsed:
-            for name, _ in factors:
+        for line_no, col, powers in parsed:
+            for name in powers:
                 if name not in vars:
                     raise ParseError(f"variable {name!r} not declared", line_no, col)
-    else:
-        # A dict keeps first appearances in order with O(1) membership.
-        order = dict.fromkeys([name for _, _, fs in parsed for name, _ in fs])
-        vars = VariableSet(tuple(order))
 
     gens = []
-    for line_no, col, factors in parsed:
-        powers: dict[str, int] = {}
-        for name, exp in factors:
-            powers[name] = powers.get(name, 0) + exp
-        mon = Monomial.from_powers(vars, powers)
-        if mon.is_one():
+    for line_no, col, powers in parsed:
+        if not any(powers.values()):
             raise ParseError("generator equal to 1", line_no, col)
-        gens.append(mon)
+        gens.append(Monomial.from_powers(vars, powers))
     try:
         return MonomialIdeal(vars, tuple(gens))
     except ValueError as exc:

@@ -39,7 +39,6 @@ from .monomial import (
     lcm_closure,
 )
 
-TAYLOR_GUARD = 20
 _TREE_GUARD = 1 << 18  # enumerate_trees refuses past this many partial edge lists
 
 
@@ -178,9 +177,8 @@ def _generator_vertex_names(q: int) -> VariableSet:
 
 
 def taylor(I: MonomialIdeal) -> FreeComplex:
-    """Homogenization of the full simplex on the generators."""
-    if I.q > TAYLOR_GUARD:
-        raise ValueError(f"taylor guard exceeded (q={I.q})")
+    """Homogenization of the full simplex on the generators; its 2^q faces
+    are refused past 20 generators by ``_face_masks``, as any complex is."""
     D = full_simplex(_generator_vertex_names(I.q))
     return homogenize(LabeledComplex(D, I.generators))
 

@@ -457,8 +457,9 @@ def facet_pair_components(D: SimplicialComplex) -> tuple[frozenset[str], ...]:
         frozenset().union(*(D.facets[i] for i in group))
         for group in sets.groups(range(D.q))
     ]
+    used = frozenset().union(*D.facets)
     for name in D.vertices.names:
-        if name not in D.used_vertices:
+        if name not in used:
             parts.append(frozenset({name}))
     parts.sort(key=lambda p: min(D.vertices.index(v) for v in p))
     return tuple(parts)

@@ -324,6 +324,13 @@ class TestOracleCommands:
         assert main(["betti", "--input", six_var_file]) == 0
         assert "total: 1 4 3" in capsys.readouterr().out
 
+    def test_taylor_past_twenty_generators_is_refused(self, tmp_path, capsys):
+        # The full simplex on 21 generators has 2^21 faces, past the face guard.
+        path = tmp_path / "i.txt"
+        path.write_text(", ".join(f"x{i}" for i in range(1, 22)) + "\n")
+        assert main(["taylor", "--input", str(path)]) == 2
+        assert "guard exceeded" in capsys.readouterr().err
+
 
 class TestPolarize:
     def test_text(self, tmp_path, capsys):
@@ -347,6 +354,12 @@ class TestPolarize:
         path.write_text(f"x^{POLARIZE_GUARD + 1}\n")
         assert main(["polarize", "--input", str(path)]) == 2
         assert f"limit {POLARIZE_GUARD}" in capsys.readouterr().err
+
+    def test_copy_name_equal_to_a_kept_name(self, tmp_path, capsys):
+        path = tmp_path / "i.txt"
+        path.write_text("x^2, x_1*y\n")
+        assert main(["polarize", "--input", str(path)]) == 2
+        assert capsys.readouterr().err == "error: duplicate variable name 'x_1'\n"
 
 
 class TestCensusCommand:
@@ -420,6 +433,17 @@ class TestErrors:
         path.write_text(text)
         assert main(["pd", "--input", str(path)]) == 2
         assert "no generators found" in capsys.readouterr().err
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit"
+    )
+    def test_over_long_exponent_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "i.txt"
+        path.write_text("x^" + "9" * (sys.get_int_max_str_digits() + 1) + "\n")
+        assert main(["pd", "--input", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "parse error: line 1, column 1: exponent too long\n"
+        )
 
     def test_missing_file(self, capsys):
         assert main(["pd", "--input", "/nonexistent/ideal.txt"]) == 2

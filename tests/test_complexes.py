@@ -292,7 +292,7 @@ class TestLeafOrders:
         # else it would lie inside its joint; the census's Betti-guard skip
         # rests on this bound.
         if leaf_order(D, "greedy") is not None:
-            assert D.q <= len(D.used_vertices)
+            assert D.q <= len(frozenset().union(*D.facets))
 
     def test_greedy_takes_the_facet_that_meets_the_most_taken_vertices(self):
         # After {x1,x2}, facet {x1,x5} meets one taken vertex and {x3,x4}

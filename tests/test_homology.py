@@ -326,9 +326,9 @@ class TestBettiOracle:
         I = parse_ideal("vars x1 x2\nx1\nx2\n")
         table = betti(I)
         assert table.totals() == (1, 2, 1)
-        assert table.beta(1, mono(I.vars, "x1")) == 1
-        assert table.beta(1, mono(I.vars, "x2")) == 1
-        assert table.beta(2, mono(I.vars, "x1*x2")) == 1
+        assert (1, mono(I.vars, "x1"), 1) in table.entries
+        assert (1, mono(I.vars, "x2"), 1) in table.entries
+        assert (2, mono(I.vars, "x1*x2"), 1) in table.entries
 
     def test_six_var_ideal_totals(self):
         assert betti(six_var_ideal()).totals() == (1, 4, 3)
@@ -358,7 +358,7 @@ class TestBettiOracle:
         I = six_var_ideal()
         table = betti(I)
         for text in ("x1*x2*x4*x6", "x1*x3*x4*x6", "x1*x4*x5*x6"):
-            assert table.beta(2, mono(I.vars, text)) == 1
+            assert (2, mono(I.vars, text), 1) in table.entries
 
     def test_tree_f_vector_matches_totals(self):
         I = six_var_ideal()
@@ -376,7 +376,7 @@ class TestBettiOracle:
         I = parse_ideal("x^2, x*y\n")
         table = betti(I)
         assert table.totals() == (1, 2, 1)
-        assert table.beta(2, mono(I.vars, "x^2*y")) == 1
+        assert (2, mono(I.vars, "x^2*y"), 1) in table.entries
 
     def test_guard(self):
         names = tuple(f"x{i}" for i in range(13))

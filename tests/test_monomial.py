@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 
 import pytest
 from hypothesis import given
@@ -300,6 +301,36 @@ class TestPolarize:
         P, _ = polarize(minimalize(gens))
         assert P.is_squarefree()
 
+    @given(st.lists(nonunit_monomials(max_exp=3), min_size=1, max_size=4))
+    def test_copies_are_the_powers_that_divide(self, gens):
+        # Copy (x, j) is 1 in P(g) iff x^j divides g, and g | h iff P(g) | P(h)
+        # over the generators and their pairwise lcms.
+        I = minimalize(gens)
+        P, varmap = polarize(I)
+
+        def pol(g):
+            return Monomial(P.vars, tuple([
+                int(g.exponents[I.vars.index(x)] >= j)
+                for x, j in [varmap[name] for name in P.vars.names]
+            ]))
+
+        assert P.generators == tuple([pol(g) for g in I.generators])
+        ms = [lcm(g, h) for g in I.generators for h in I.generators]
+        for g in ms:
+            for h in ms:
+                assert divides(g, h) == divides(pol(g), pol(h))
+
+    @given(squarefree_ideals())
+    def test_squarefree_ideal_comes_back_with_the_identity(self, I):
+        P, varmap = polarize(I)
+        assert P is I
+        assert varmap == {name: (name, 1) for name in I.vars.names}
+
+    def test_copy_name_equal_to_a_kept_name(self):
+        # x^2 needs the copies x_1 and x_2, and x_1 is already a variable.
+        with pytest.raises(ValueError, match="duplicate variable name 'x_1'"):
+            polarize(parse_ideal("x^2, x_1*y\n"))
+
 
 class TestTextFormat:
     def test_round_trip_with_header(self):
@@ -338,3 +369,51 @@ class TestTextFormat:
     @given(squarefree_ideals())
     def test_format_parse_round_trip(self, I):
         assert parse_ideal(format_ideal(I)) == I
+
+    @pytest.mark.parametrize(
+        "text, error, line, column, message",
+        [
+            ("vars\nx\n", ParseError, 1, 1, "empty vars header"),
+            ("# c\n  vars  \nx\n", ParseError, 2, 1, "empty vars header"),
+            ("x*&\n", ParseError, 1, 3, "bad factor '&'"),
+            ("x, y*2z\n", ParseError, 1, 6, "bad factor '2z'"),
+            ("x^\n", ParseError, 1, 1, "bad factor 'x^'"),
+            (" x ,  y ^ 2 * * z\n", ParseError, 1, 14, "bad factor ''"),
+            ("", ParseError, 1, 1, "no generators found"),
+            ("\n# c\n", ParseError, 2, 1, "no generators found"),
+            (",, ,\n", ParseError, 1, 1, "no generators found"),
+            ("vars x x\n", ParseError, 1, 1, "no generators found"),
+            ("vars x 1y\nx\n", ValueError, None, None, "bad variable name '1y'"),
+            ("vars x y x\nz\n", ValueError, None, None, "duplicate variable name 'x'"),
+            ("vars x y\nx*z\n", ParseError, 2, 1, "variable 'z' not declared"),
+            ("vars x\nx^0, y\n", ParseError, 2, 6, "variable 'y' not declared"),
+            ("x^0\n", ParseError, 1, 1, "generator equal to 1"),
+            ("x, x*y, y^0*z^0\n", ParseError, 1, 9, "generator equal to 1"),
+            ("x, x*y\n", ValueError, None, None,
+             "not a minimal generating set: not an antichain: x divides x*y; "
+             "minimalize first"),
+            # A bad factor anywhere beats an undeclared variable before it.
+            ("vars x y\nx*z, y, &\n", ParseError, 2, 9, "bad factor '&'"),
+            # A line of commas is body, so a later vars line is a factor.
+            (",,,\nvars x\n", ParseError, 2, 1, "bad factor 'vars x'"),
+            ("vars x\nvars y\n", ParseError, 2, 1, "bad factor 'vars y'"),
+        ],
+    )
+    def test_error_messages_and_positions(self, text, error, line, column, message):
+        with pytest.raises(ValueError) as err:
+            parse_ideal(text)
+        assert type(err.value) is error
+        if error is ParseError:
+            assert (err.value.line, err.value.column) == (line, column)
+            assert str(err.value) == f"line {line}, column {column}: {message}"
+        else:
+            assert str(err.value) == message
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit"
+    )
+    def test_over_long_exponent_is_a_parse_error(self):
+        digits = "9" * (sys.get_int_max_str_digits() + 1)
+        with pytest.raises(ParseError) as err:
+            parse_ideal(f"y,\n  z * x^{digits}\n")
+        assert str(err.value) == "line 2, column 6: exponent too long"

@@ -1,6 +1,7 @@
 """Source rules the package keeps, checked on its syntax tree."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "treeres"
@@ -39,46 +40,84 @@ def test_no_json_dump_with_indent():
     assert found == []
 
 
-def _names_by_statement(path: Path) -> list[tuple[ast.stmt, set[str]]]:
-    """Each top-level statement of the file with the identifiers it names:
+def _names_in(node: ast.AST) -> Counter[str]:
+    """The identifiers a node names, each as often as it names it:
     variables, attributes, imported names and whole string constants (the
-    benchmark tracer looks functions up by string)."""
-    out = []
-    for stmt in ast.parse(path.read_text(), str(path)).body:
-        named = set()
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Name):
-                named.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                named.add(node.attr)
-            elif isinstance(node, ast.alias):
-                named.add(node.name)
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                named.add(node.value)
-        out.append((stmt, named))
-    return out
+    benchmark tracer looks functions and methods up by string) other than
+    dict keys, which label data."""
+    named: Counter[str] = Counter()
+    keys = set()  # ast.walk reaches a dict before its keys
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Dict):
+            keys.update(map(id, sub.keys))
+        elif isinstance(sub, ast.Name):
+            named[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            named[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            named[sub.name] += 1
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            if id(sub) not in keys:
+                named[sub.value] += 1
+    return named
+
+
+def _names_by_statement(path: Path) -> list[tuple[ast.stmt, set[str]]]:
+    """Each top-level statement of the file with the identifiers it names."""
+    return [
+        (stmt, set(_names_in(stmt)))
+        for stmt in ast.parse(path.read_text(), str(path)).body
+    ]
+
+
+def _scripts_and_benchmark() -> list[Path]:
+    """The files outside the package whose use keeps a definition: the
+    scripts and the benchmark, its tests excluded."""
+    root = SRC.parents[1]
+    return [
+        path
+        for path in [*(root / "scripts").glob("*.py"), *(root / "perfbench").glob("*.py")]
+        if not path.name.startswith("test_")
+    ]
 
 
 def test_every_public_definition_is_reached():
     # A module-level function or class, public or private, that no package
     # module, script or benchmark names outside its own definition has no
     # caller but tests.
-    root = SRC.parents[1]
     package = [pair for path in SRC.glob("*.py") for pair in _names_by_statement(path)]
     statements = package + [
-        pair
-        for path in [
-            *(root / "scripts").glob("*.py"),
-            *(root / "perfbench").glob("*.py"),
-        ]
-        if not path.name.startswith("test_")
-        for pair in _names_by_statement(path)
+        pair for path in _scripts_and_benchmark() for pair in _names_by_statement(path)
     ]
     unreached = sorted(
         stmt.name
         for stmt, _ in package
         if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
         and not any(stmt.name in named for other, named in statements if other is not stmt)
+    )
+    assert unreached == []
+
+
+def test_every_class_member_is_reached():
+    # A method or property of a package class that no package module,
+    # script or benchmark names outside its own definition has no caller
+    # but tests.  Dunders run by protocol; dataclass fields are not defs.
+    named = sum(
+        [
+            _names_in(ast.parse(path.read_text(), str(path)))
+            for path in [*SRC.glob("*.py"), *_scripts_and_benchmark()]
+        ],
+        Counter(),
+    )
+    unreached = sorted(
+        f"{cls.name}.{member.name}"
+        for path in SRC.glob("*.py")
+        for cls in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(cls, ast.ClassDef)
+        for member in cls.body
+        if isinstance(member, ast.FunctionDef)
+        and not (member.name.startswith("__") and member.name.endswith("__"))
+        and named[member.name] == _names_in(member)[member.name]
     )
     assert unreached == []
 
