@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .monomial import VariableSet
+from .monomial import VariableSet, _nested_pair
 
 SUBSET_GUARD = 20  # 2^n / 2^q enumerations refuse to run past this
 
@@ -68,14 +68,10 @@ class SimplicialComplex:
             raise ValueError("a complex needs at least one facet")
         if not all(masks):
             raise ValueError("facets must be nonempty")
-        # A mask lies only in its equal or in a mask with more bits; the
-        # sizes spare the big-integer test on the other pairs.
-        sizes = [m.bit_count() for m in masks]
-        for i, f in enumerate(masks):
-            for j, g in enumerate(masks):
-                if i != j and (f == g or sizes[i] < sizes[j] and f & ~g == 0):
-                    f, g = (sorted(_mask_names(vertices.names, m)) for m in (f, g))
-                    raise ValueError(f"facets are not an antichain: {f} within {g}")
+        found = _nested_pair(masks)
+        if found:
+            f, g = (sorted(_mask_names(vertices.names, masks[k])) for k in found)
+            raise ValueError(f"facets are not an antichain: {f} within {g}")
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "_facet_masks", tuple(masks))
 

@@ -23,7 +23,7 @@ from .complexes import (
     full_simplex,
     is_full_simplex,
 )
-from .monomial import Monomial, MonomialIdeal, VariableSet
+from .monomial import MonomialIdeal, VariableSet
 
 
 @dataclass(frozen=True)
@@ -31,10 +31,6 @@ class ZeroIdeal:
     """Distinguished outcome: the full simplex has no non-faces."""
 
     vars: VariableSet
-
-
-def _mask_monomial(vars: VariableSet, mask: int) -> Monomial:
-    return Monomial(vars, tuple([mask >> i & 1 for i in range(vars.n)]))
 
 
 def _guard(n: int) -> None:
@@ -82,12 +78,10 @@ def sr_ideal(D):
     """Squarefree ideal generated by the minimal non-faces of D."""
     vars = D.vertices
     if isinstance(D, EmptyComplex):
-        gens = [_mask_monomial(vars, 1 << i) for i in range(vars.n)]
-        return MonomialIdeal(vars, tuple(gens))
+        return MonomialIdeal._of_masks(vars, [1 << i for i in range(vars.n)])
     if is_full_simplex(D):
         return ZeroIdeal(vars)
-    gens = [_mask_monomial(vars, m) for m in _minimal_nonfaces(vars.n, D._facet_masks)]
-    return MonomialIdeal(vars, tuple(gens))
+    return MonomialIdeal._of_masks(vars, _minimal_nonfaces(vars.n, D._facet_masks))
 
 
 def sr_complex(I: MonomialIdeal):
@@ -100,10 +94,8 @@ def sr_complex(I: MonomialIdeal):
     if not I.is_squarefree():
         raise ValueError("Stanley-Reisner complex needs a squarefree ideal; polarize first")
     full = (1 << I.vars.n) - 1
-    cofaces = [full ^ g.support_mask for g in I.generators]
-    return _complement_complex(
-        I.vars, _minimal_nonfaces(I.vars.n, [c for c in cofaces if c])
-    )
+    cofaces = [full ^ m for m in I._masks if m != full]
+    return _complement_complex(I.vars, _minimal_nonfaces(I.vars.n, cofaces))
 
 
 def alexander_dual(D):
@@ -135,7 +127,7 @@ def dual_facets(I: MonomialIdeal) -> SimplicialComplex:
     if not I.is_squarefree():
         raise ValueError("dual facets need a squarefree ideal; polarize first")
     full = (1 << I.vars.n) - 1
-    masks = [full ^ g.support_mask for g in I.generators]
+    masks = [full ^ m for m in I._masks]
     if not all(masks):
         raise ValueError(f"generator {I.generators[masks.index(0)]} uses every variable")
     return SimplicialComplex._of_masks(I.vars, masks)
@@ -148,11 +140,8 @@ def dual_generators(D: SimplicialComplex) -> MonomialIdeal:
     antichain, so the result is automatically minimal.
     """
     full = (1 << D.n) - 1
-    gens = []
-    for mask in D._facet_masks:
-        if mask == full:
-            raise ValueError(
-                f"facet {{{','.join(sorted(D.vertices.names))}}} equals the universe"
-            )
-        gens.append(_mask_monomial(D.vertices, full ^ mask))
-    return MonomialIdeal(D.vertices, tuple(gens))
+    if full in D._facet_masks:
+        raise ValueError(
+            f"facet {{{','.join(sorted(D.vertices.names))}}} equals the universe"
+        )
+    return MonomialIdeal._of_masks(D.vertices, [full ^ m for m in D._facet_masks])

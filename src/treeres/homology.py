@@ -1,15 +1,16 @@
 """Exact linear algebra over the rationals and the homology oracles.
 
 Everything here is independent of the tree constructions it is used to
-check: ranks come from sparse row reduction over the rationals,
+check, and imports none of them: frames are sparse (row, col, value)
+matrices, ranks come from sparse row reduction over the rationals,
 reduced homology from augmented boundary matrices, and the graded Betti
 numbers from the upper Koszul complex of each lcm-lattice element
 (Miller-Sturmfels, *Combinatorial Commutative Algebra*, Thm 1.34), on
-``exponent_masks`` from encode to table entry, cut to its strong-collapse
-core (Barmak-Minian, *Strong homotopy types, nerves and collapses*,
-2012) before its homology is taken.  Removing a dominated vertex and
-passing to the nerve of the facets both keep the homotopy type, so the
-homology is that of the complex itself.  No floating point anywhere.
+the ideal's ``exponent_masks`` until an entry is decoded, cut to its
+strong-collapse core (Barmak-Minian, *Strong homotopy types, nerves and
+collapses*, 2012) before its homology is taken.  Removing a dominated
+vertex and passing to the nerve of the facets both keep the homotopy
+type, so the homology is that of the complex itself.  No floating point.
 """
 
 from __future__ import annotations
@@ -28,15 +29,7 @@ from .complexes import (
     _submasks,
     _transpose,
 )
-from .monomial import (
-    Monomial,
-    MonomialIdeal,
-    VariableSet,
-    exponent_masks,
-    lcm_closure,
-    mask_exponents,
-)
-from .resolution import Frame, _squares_to_zero
+from .monomial import Monomial, MonomialIdeal, VariableSet, lcm_closure, mask_exponents
 
 FACE_GUARD = 1 << 16
 BETTI_GUARD = 12
@@ -133,8 +126,53 @@ def reduced_homology_dims(D) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Frame exactness.
+# Frames, the sparse (row, col, value) matrix format, and their exactness.
 # ---------------------------------------------------------------------------
+
+def _check_entries(
+    dims: Sequence[int], differentials: Sequence[Sequence[tuple]]
+) -> None:
+    """One sparse differential per positive degree, each (row, col, value)
+    entry inside its shape, and no two entries at one position."""
+    if len(differentials) != len(dims) - 1:
+        raise ValueError("need one differential per positive degree")
+    for i, entries in enumerate(differentials, start=1):
+        rows, cols = dims[i - 1], dims[i]
+        if len({(row, col) for row, col, _ in entries}) != len(entries):
+            raise ValueError(f"two entries at one position in d_{i}")
+        for row, col, _ in entries:
+            if not (0 <= row < rows and 0 <= col < cols):
+                raise ValueError(f"entry out of shape in d_{i}")
+
+
+def _squares_to_zero(differentials: Sequence[Sequence[tuple]]) -> bool:
+    """Consecutive sparse matrices of (row, col, value) entries compose to zero."""
+    for first, second in zip(differentials, differentials[1:]):
+        by_col: dict[int, list[tuple[int, int]]] = {}
+        for row, col, value in first:
+            by_col.setdefault(col, []).append((row, value))
+        acc: dict[tuple[int, int], int] = {}
+        for mid, col, value in second:
+            for row, v in by_col.get(mid, ()):
+                acc[row, col] = acc.get((row, col), 0) + v * value
+        if any(acc.values()):
+            return False
+    return True
+
+
+@dataclass(frozen=True)
+class Frame:
+    """Ranks and, for each d_i, its sparse (row, col, value) entries:
+    a free complex with every monomial set to 1."""
+
+    dims: tuple[int, ...]
+    differentials: tuple[tuple[tuple[int, int, int], ...], ...]
+
+    def __post_init__(self):
+        _check_entries(self.dims, self.differentials)
+        if any(value == 0 for d in self.differentials for _, _, value in d):
+            raise ValueError("frame entries must be nonzero")
+
 
 def is_exact_frame(fr: Frame) -> bool:
     """Homology of the frame vanishes in every positive degree.
@@ -215,14 +253,13 @@ def betti(I: MonomialIdeal) -> BettiTable:
     """
     if I.q > BETTI_GUARD:
         raise ValueError(f"betti guard exceeded (q={I.q})")
-    gens, levels = exponent_masks(I.generators)
     entries: list[tuple[int, Monomial, int]] = [(0, Monomial.one(I.vars), 1)]
-    for top in lcm_closure(gens):
-        rows = _core([top & ~g for g in gens if g & ~top == 0])
+    for top in lcm_closure(I._masks):
+        rows = _core([top & ~g for g in I._masks if g & ~top == 0])
         columns = _transpose(rows)
         dims = _mask_homology(_submasks(columns if len(rows) < len(columns) else rows))
         if any(dims):
-            m = Monomial(I.vars, mask_exponents(top, levels))
+            m = Monomial(I.vars, mask_exponents(top, I._levels))
             for pos, b in enumerate(dims):  # dims is indexed from degree -1
                 if b:
                     entries.append((pos + 1, m, b))

@@ -12,7 +12,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from operator import getitem, le
+from typing import Iterable, Mapping, Sequence
 
 
 class ParseError(ValueError):
@@ -86,21 +87,11 @@ class Monomial:
             raise ValueError(
                 f"exponent vector of length {len(exps)} over {self.vars.n} variables"
             )
-        # support_mask and _squarefree are plain attributes, not fields, so
-        # equality, hashing and repr read the exponents alone.
-        mask = 0
-        squarefree = True
-        for i, e in enumerate(exps):
+        for e in exps:
             if type(e) is not int:
                 raise ValueError(f"exponent {e!r} is not an int")
-            if e:
-                if e < 0:
-                    raise ValueError(f"negative exponent in {exps}")
-                mask |= 1 << i
-                if e > 1:
-                    squarefree = False
-        object.__setattr__(self, "support_mask", mask)
-        object.__setattr__(self, "_squarefree", squarefree)
+            if e < 0:
+                raise ValueError(f"negative exponent in {exps}")
 
     @classmethod
     def one(cls, vars: VariableSet) -> "Monomial":
@@ -118,9 +109,6 @@ class Monomial:
 
     def is_one(self) -> bool:
         return all(e == 0 for e in self.exponents)
-
-    def is_squarefree(self) -> bool:
-        return self._squarefree
 
     def __str__(self) -> str:
         factors = []
@@ -140,15 +128,16 @@ def _check_same_vars(a: Monomial, b: Monomial) -> None:
 def divides(a: Monomial, b: Monomial) -> bool:
     """True iff every exponent of ``a`` is <= the matching exponent of ``b``."""
     _check_same_vars(a, b)
-    if a._squarefree and b._squarefree:
-        return a.support_mask & ~b.support_mask == 0
-    return all(x <= y for x, y in zip(a.exponents, b.exponents))
+    return all(map(le, a.exponents, b.exponents))
 
 
 def lcm(a: Monomial, b: Monomial) -> Monomial:
     """Componentwise max of exponents."""
     _check_same_vars(a, b)
     return Monomial(a.vars, tuple([*map(max, a.exponents, b.exponents)]))
+
+
+_BIT = ("0", "1")  # the block of a variable whose one level is 1, by exponent
 
 
 def exponent_masks(
@@ -158,21 +147,22 @@ def exponent_masks(
     is mask inclusion, and the levels that decode them.
 
     The levels of a variable are its distinct nonzero exponents among the
-    inputs, sorted; x_i^e sets the first r bits of x_i's block, where e is
-    the r-th level.  A block is as wide as its variable's number of levels,
-    so the masks stay small whatever the exponents.  Exact for the inputs
+    inputs, sorted, or ``(1,)`` when no input uses it; x_i^e sets the
+    first r bits of x_i's block, where e is the r-th level.  A block is as
+    wide as its variable's number of levels, so the masks stay small
+    whatever the exponents, and every variable has a bit: the masks of
+    squarefree monomials are their support masks.  Exact for the inputs
     and every lcm of them.
     """
-    columns = list(zip(*[m.exponents for m in monomials]))
-    levels = tuple([tuple(sorted(set(column) - {0})) for column in columns])
-    masks = [0] * len(monomials)
-    offset = 0
-    for column, values in zip(columns, levels):
-        rank = {e: r for r, e in enumerate(values, start=1)}
-        for k, e in enumerate(column):
-            if e:
-                masks[k] |= ((1 << rank[e]) - 1) << offset
-        offset += len(values)
+    columns = zip(*[m.exponents for m in monomials])
+    levels = tuple([tuple(sorted(set(column) - {0})) or (1,) for column in columns])
+    # Each block's bits by exponent, as binary text, last variable first.
+    blocks = [
+        _BIT if values == (1,) else
+        {e: f"{(1 << r) - 1:0{len(values)}b}" for r, e in enumerate((0, *values))}
+        for values in reversed(levels)
+    ]
+    masks = [int("".join(map(getitem, blocks, m.exponents[::-1])), 2) for m in monomials]
     return masks, levels
 
 
@@ -203,48 +193,84 @@ def lcm_closure(gens: Sequence[int]) -> set[int]:
     return closed
 
 
-@dataclass(frozen=True)
+def _holders(masks: Iterable[int]) -> set[int]:
+    """The distinct masks that hold another of the distinct masks.  A mask
+    holds only masks with fewer bits, so popcount buckets bound the pairs."""
+    by_size: dict[int, list[int]] = {}
+    for m in set(masks):
+        by_size.setdefault(m.bit_count(), []).append(m)
+    holders, smaller = set(), []
+    for size in sorted(by_size):
+        holders.update([m for m in by_size[size] if any(s & m == s for s in smaller)])
+        smaller += by_size[size]
+    return holders
+
+
+def _nested_pair(masks: Sequence[int]) -> tuple[int, int] | None:
+    """The first (j, i), i outermost, of two positions with masks[j] inside
+    masks[i]; None when the masks are an antichain."""
+    if len(set(masks)) == len(masks) and not _holders(masks):
+        return None
+    return next(
+        (j, i) for i, m in enumerate(masks) for j, s in enumerate(masks)
+        if i != j and s & m == s
+    )
+
+
+@dataclass(frozen=True, init=False)
 class MonomialIdeal:
-    """Proper monomial ideal given by its ordered minimal generating set."""
+    """Proper monomial ideal given by its ordered minimal generating set,
+    held as the generators' ``exponent_masks`` and levels; ``_of_masks``
+    builds a squarefree ideal from support masks, with no Monomial."""
 
     vars: VariableSet
-    generators: tuple[Monomial, ...]
+    _masks: tuple[int, ...]
+    _levels: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "generators", tuple(self.generators))
-        if not self.generators:
-            raise ValueError("an ideal needs at least one generator")
-        for g in self.generators:
-            if g.vars != self.vars:
+    def __init__(self, vars: VariableSet, generators: Sequence[Monomial]):
+        generators = tuple(generators)
+        for g in generators:
+            if g.vars != vars:
                 raise ValueError("generator over a different variable set")
             if g.is_one():
                 raise ValueError("the unit monomial cannot be a generator")
-        # h | g needs supp(h) inside supp(g); only such pairs compare
-        # exponents.  No divides call, so no variable check per pair.
-        gens = self.generators
-        masks = [g.support_mask for g in gens]
-        for i, outside in enumerate([~m for m in masks]):
-            for j, h in enumerate(masks):
-                if h & outside == 0 and i != j and all(
-                    x <= y for x, y in zip(gens[j].exponents, gens[i].exponents)
-                ):
-                    raise ValueError(
-                        f"not an antichain: {gens[j]} divides {gens[i]}; "
-                        "minimalize first"
-                    )
+        self._hold(vars, *exponent_masks(generators))
+        # Fills the cached property: the given generators need no decoding.
+        object.__setattr__(self, "generators", generators)
+
+    @classmethod
+    def _of_masks(cls, vars: VariableSet, masks: Sequence[int]) -> MonomialIdeal:
+        I = cls.__new__(cls)
+        I._hold(vars, masks, ((1,),) * vars.n)
+        return I
+
+    def _hold(self, vars: VariableSet, masks: Sequence[int], levels) -> None:
+        if not masks:
+            raise ValueError("an ideal needs at least one generator")
+        found = _nested_pair(masks)
+        if found:
+            h, g = (Monomial(vars, mask_exponents(masks[k], levels)) for k in found)
+            raise ValueError(f"not an antichain: {h} divides {g}; minimalize first")
+        object.__setattr__(self, "vars", vars)
+        object.__setattr__(self, "_masks", tuple(masks))
+        object.__setattr__(self, "_levels", levels)
+
+    @cached_property
+    def generators(self) -> tuple[Monomial, ...]:
+        levels = self._levels
+        return tuple([Monomial(self.vars, mask_exponents(m, levels)) for m in self._masks])
 
     @property
     def q(self) -> int:
-        return len(self.generators)
+        return len(self._masks)
 
     def is_squarefree(self) -> bool:
-        return all(g.is_squarefree() for g in self.generators)
+        return all(values == (1,) for values in self._levels)
 
     def same_ideal(self, other: "MonomialIdeal") -> bool:
-        """Order-insensitive equality of minimal generating sets."""
-        return self.vars == other.vars and set(self.generators) == set(
-            other.generators
-        )
+        """Order-insensitive equality of minimal generating sets (and so of levels)."""
+        same = self.vars == other.vars and self._levels == other._levels
+        return same and set(self._masks) == set(other._masks)
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(g) for g in self.generators) + ")"
@@ -263,18 +289,10 @@ def minimalize(gens: Sequence[Monomial]) -> MonomialIdeal:
             raise ValueError("mixed variable sets in generator list")
         if g.is_one():
             raise ValueError("the unit monomial cannot be a generator")
-    keep = []
-    for i, g in enumerate(gens):
-        dominated = False
-        for j, h in enumerate(gens):
-            if i == j:
-                continue
-            if divides(h, g) and (h.exponents != g.exponents or j < i):
-                dominated = True
-                break
-        if not dominated:
-            keep.append(g)
-    return MonomialIdeal(vars, tuple(keep))
+    masks, _ = exponent_masks(gens)
+    holders = _holders(masks)
+    kept = dict.fromkeys([g for g, m in zip(gens, masks) if m not in holders])
+    return MonomialIdeal(vars, tuple(kept))
 
 
 POLARIZE_GUARD = 10_000  # polarize refuses past this sum of maximal exponents
@@ -290,9 +308,9 @@ def polarize(I: MonomialIdeal) -> tuple[MonomialIdeal, dict[str, tuple[str, int]
     the new ring has about sum_i max_exp_i variables, and polarize refuses
     when that sum passes POLARIZE_GUARD.
     """
-    max_exp = [max(column) for column in zip(*[g.exponents for g in I.generators])]
-    if all(e <= 1 for e in max_exp):
+    if I.is_squarefree():
         return I, {name: (name, 1) for name in I.vars.names}
+    max_exp = [max(column) for column in zip(*[g.exponents for g in I.generators])]
     if sum(max_exp) > POLARIZE_GUARD:
         raise ValueError(
             f"polarize guard exceeded (sum of maximal exponents {sum(max_exp)}, "
@@ -305,10 +323,11 @@ def polarize(I: MonomialIdeal) -> tuple[MonomialIdeal, dict[str, tuple[str, int]
     new_vars = VariableSet(tuple([
         names[i] if max_exp[i] <= 1 else f"{names[i]}_{j}" for i, j in slots
     ]))
-    rows = [tuple([int(g.exponents[i] >= j) for i, j in slots]) for g in I.generators]
+    gens = I.generators
+    masks = [sum([1 << s for s, (i, j) in enumerate(slots) if g.exponents[i] >= j]) for g in gens]
     varmap = dict(zip(new_vars.names, [(names[i], j) for i, j in slots]))
     # Polarization preserves divisibility both ways, so minimality survives.
-    return MonomialIdeal(new_vars, tuple([Monomial(new_vars, r) for r in rows])), varmap
+    return MonomialIdeal._of_masks(new_vars, masks), varmap
 
 
 # ---------------------------------------------------------------------------
@@ -345,12 +364,17 @@ def parse_ideal(text: str) -> MonomialIdeal:
                 for piece in gen_text.split("*"):
                     m = _FACTOR_RE.match(piece)
                     if not m:
-                        raise ParseError(f"bad factor {piece.strip()!r}", line_no, offset)
+                        # At its first non-blank character; an all-blank piece at its start.
+                        blank = len(piece) - len(piece.lstrip())
+                        at = offset + (blank if blank < len(piece) else 0)
+                        raise ParseError(f"bad factor {piece.strip()!r}", line_no, at)
                     name, digits = m.groups()
                     try:
                         exp = int(digits or 1)
                     except ValueError:  # more digits than sys.get_int_max_str_digits()
-                        raise ParseError("exponent too long", line_no, offset) from None
+                        raise ParseError(
+                            "exponent too long", line_no, offset + m.start(1)
+                        ) from None
                     powers[name] = powers.get(name, 0) + exp
                     offset += len(piece) + 1
                 parsed.append((line_no, col, powers))

@@ -29,6 +29,7 @@ from .complexes import (
     all_leaf_orders,
 )
 from .duality import dual_generators
+from .homology import Frame, _check_entries, _squares_to_zero
 from .monomial import (
     Monomial,
     MonomialIdeal,
@@ -107,37 +108,6 @@ class FreeComplex:
         alone decide.
         """
         return _squares_to_zero(self.differentials)
-
-
-def _check_entries(
-    dims: Sequence[int], differentials: Sequence[Sequence[tuple]]
-) -> None:
-    """One sparse differential per positive degree, each (row, col, value)
-    entry inside its shape, and no two entries at one position."""
-    if len(differentials) != len(dims) - 1:
-        raise ValueError("need one differential per positive degree")
-    for i, entries in enumerate(differentials, start=1):
-        rows, cols = dims[i - 1], dims[i]
-        if len({(row, col) for row, col, _ in entries}) != len(entries):
-            raise ValueError(f"two entries at one position in d_{i}")
-        for row, col, _ in entries:
-            if not (0 <= row < rows and 0 <= col < cols):
-                raise ValueError(f"entry out of shape in d_{i}")
-
-
-def _squares_to_zero(differentials: Sequence[Sequence[tuple]]) -> bool:
-    """Consecutive sparse matrices of (row, col, value) entries compose to zero."""
-    for first, second in zip(differentials, differentials[1:]):
-        by_col: dict[int, list[tuple[int, int]]] = {}
-        for row, col, value in first:
-            by_col.setdefault(col, []).append((row, value))
-        acc: dict[tuple[int, int], int] = {}
-        for mid, col, value in second:
-            for row, v in by_col.get(mid, ()):
-                acc[row, col] = acc.get((row, col), 0) + v * value
-        if any(acc.values()):
-            return False
-    return True
 
 
 def homogenize(L: LabeledComplex) -> FreeComplex:
@@ -302,7 +272,7 @@ def _tree_on(I: MonomialIdeal) -> tuple[tuple[int, ...], LabeledComplex] | None:
     empty, so a principal ideal gets its single-vertex tree.
     """
     full = (1 << I.vars.n) - 1
-    found = _leaf_search([full ^ g.support_mask for g in I.generators])
+    found = _leaf_search([full ^ m for m in I._masks])
     if found is None:
         return None
     order, edges = found
@@ -355,20 +325,6 @@ def floystad_tree(I: MonomialIdeal) -> LabeledComplex:
 # ---------------------------------------------------------------------------
 # Frames: same shapes with every monomial set to 1.
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Frame:
-    """Ranks and, for each d_i, its sparse (row, col, value) entries:
-    a free complex with every monomial set to 1."""
-
-    dims: tuple[int, ...]
-    differentials: tuple[tuple[tuple[int, int, int], ...], ...]
-
-    def __post_init__(self):
-        _check_entries(self.dims, self.differentials)
-        if any(value == 0 for d in self.differentials for _, _, value in d):
-            raise ValueError("frame entries must be nonzero")
-
 
 def frame(F: FreeComplex) -> Frame:
     """Forget the monomials, keep the signs."""

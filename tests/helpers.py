@@ -289,6 +289,18 @@ def divides_antichain_violation(gens) -> tuple[Monomial, Monomial] | None:
     return None
 
 
+def divides_minimal(gens) -> list[Monomial]:
+    """The generators that no generator at another position divides,
+    save that of equal generators the first stays, in order, from a
+    ``divides`` call per ordered pair."""
+    return [
+        g for i, g in enumerate(gens)
+        if not any(
+            i != j and divides(h, g) and (h != g or j < i) for j, h in enumerate(gens)
+        )
+    ]
+
+
 def three_variable_ideals() -> list[MonomialIdeal]:
     """Every minimal generating set in x, y, z with exponents at most two:
     978 ideals, 960 of them non-squarefree."""
@@ -403,7 +415,9 @@ def maximal_faces(vars: VariableSet, is_face):
 
 def sweep_sr_complex(I: MonomialIdeal):
     """``sr_complex`` by ``maximal_faces``: a face contains no generator support."""
-    gmasks = [g.support_mask for g in I.generators]
+    gmasks = [
+        sum([1 << i for i, e in enumerate(g.exponents) if e]) for g in I.generators
+    ]
     return maximal_faces(I.vars, lambda mask: all(g & ~mask for g in gmasks))
 
 

@@ -491,8 +491,11 @@ class TestConstructors:
             ([("a",), ()], "facets must be nonempty"),
             ([("b", "c"), ("c", "a", "b")],
              "facets are not an antichain: ['b', 'c'] within ['a', 'b', 'c']"),
+            # The first facet that holds another is named, then the first it holds.
+            ([("a", "b"), ("a", "b", "c"), ("a",)],
+             "facets are not an antichain: ['a'] within ['a', 'b']"),
         ],
-        ids=["no-facets", "empty-facet", "nested-pair"],
+        ids=["no-facets", "empty-facet", "nested-pair", "two-nested-pairs"],
     )
     def test_both_constructors_refuse_alike(self, facets, message):
         V = VariableSet(("a", "b", "c"))

@@ -24,6 +24,7 @@ from treeres.monomial import (
 
 from helpers import (
     divides_antichain_violation,
+    divides_minimal,
     mono,
     pairwise_lcm_closure,
     six_var_ideal,
@@ -43,7 +44,7 @@ X6 = VariableSet(tuple(f"x{i}" for i in range(1, 7)))
 class TestDivides:
     def test_cached_squarefreeness_keeps_equality_and_hash(self):
         a, b = mono(X6, "x1*x3"), mono(X6, "x1*x3")
-        assert divides(a, mono(X6, "x1*x3*x6"))  # caches a's squarefreeness
+        assert divides(a, mono(X6, "x1*x3*x6"))
         assert a == b and hash(a) == hash(b)
         assert divides(mono(X6, "x1"), mono(X6, "x1^2"))
         assert not divides(mono(X6, "x1^2"), mono(X6, "x1*x2"))
@@ -69,18 +70,10 @@ class TestMonomialConstruction:
     def test_fields_are_vars_and_exponents(self):
         assert [f.name for f in dataclasses.fields(Monomial)] == ["vars", "exponents"]
 
-    def test_support_attributes_are_set_at_construction(self):
+    def test_instance_holds_only_vars_and_exponents(self):
         m = Monomial(X6, [1, 0, 2, 0, 0, 1])
-        assert m.exponents == (1, 0, 2, 0, 0, 1)
-        assert m.support_mask == 0b100101 and not m.is_squarefree()
-        assert Monomial(X6, (1, 0, 1, 0, 0, 1)).is_squarefree()
-
-    def test_repr_eq_and_hash_ignore_support_attributes(self):
-        a, b = mono(X6, "x1*x3"), mono(X6, "x1*x3")
-        object.__setattr__(b, "support_mask", 0)
-        object.__setattr__(b, "_squarefree", False)
-        assert a == b and hash(a) == hash(b) == hash((X6, (1, 0, 1, 0, 0, 0)))
-        assert repr(a) == repr(b) == f"Monomial(vars={X6!r}, exponents=(1, 0, 1, 0, 0, 0))"
+        assert vars(m) == {"vars": X6, "exponents": (1, 0, 2, 0, 0, 1)}
+        assert hash(m) == hash((X6, (1, 0, 2, 0, 0, 1)))
 
     @pytest.mark.parametrize(
         "exps",
@@ -150,6 +143,17 @@ class TestExponentMasks:
                 assert mask_exponents(ma | mb, levels) == lcm(a, b).exponents
                 assert (ma & ~mb == 0) == divides(a, b)
 
+    @given(st.lists(squarefree_monomials(X6), min_size=1, max_size=6))
+    def test_squarefree_masks_are_support_masks(self, ms):
+        masks, levels = exponent_masks(ms)
+        assert levels == ((1,),) * 6
+        assert masks == [sum(e << i for i, e in enumerate(m.exponents)) for m in ms]
+
+    def test_a_variable_no_input_uses_has_one_level(self):
+        masks, levels = exponent_masks([mono(X6, "x1*x3"), mono(X6, "x3^2*x6")])
+        assert levels == ((1,), (1,), (1, 2), (1,), (1,), (1,))
+        assert masks == [0b0000101, 0b1001100]
+
     def test_blocks_are_as_wide_as_the_distinct_exponents(self):
         ms = [mono(XYZ, "x^100000000*y"), mono(XYZ, "x^7*y"), mono(XYZ, "z^3")]
         masks, levels = exponent_masks(ms)
@@ -170,6 +174,17 @@ class TestLcmClosure:
 
     def test_empty(self):
         assert lcm_closure([]) == set()
+
+
+@st.composite
+def squarefree_lists_with_repeats_and_multiples(draw):
+    """Squarefree monomials in six variables, then copies and multiples of
+    some of them, shuffled: duplicates and divisible pairs are common."""
+    gens = draw(st.lists(squarefree_monomials(X6), min_size=1, max_size=5))
+    for _ in range(draw(st.integers(0, 3))):
+        g = draw(st.sampled_from(gens))
+        gens.append(lcm(g, draw(squarefree_monomials(X6))) if draw(st.booleans()) else g)
+    return draw(st.permutations(gens))
 
 
 class TestMinimalize:
@@ -202,6 +217,13 @@ class TestMinimalize:
                 if i != j:
                     assert not divides(h, g)
 
+    @given(st.one_of(
+        squarefree_lists_with_repeats_and_multiples(),
+        st.lists(nonunit_monomials(), min_size=1, max_size=6),
+    ))
+    def test_keeps_what_a_divides_loop_keeps(self, gens):
+        assert list(minimalize(gens).generators) == divides_minimal(gens)
+
     @given(st.lists(nonunit_monomials(), min_size=1, max_size=6))
     def test_preserves_relative_order(self, gens):
         kept = list(minimalize(gens).generators)
@@ -209,17 +231,6 @@ class TestMinimalize:
         for m in kept:
             positions.append(next(i for i, g in enumerate(gens) if g == m))
         assert positions == sorted(positions)
-
-
-@st.composite
-def squarefree_lists_with_repeats_and_multiples(draw):
-    """Squarefree monomials in six variables, then copies and multiples of
-    some of them, shuffled: duplicates and divisible pairs are common."""
-    gens = draw(st.lists(squarefree_monomials(X6), min_size=1, max_size=5))
-    for _ in range(draw(st.integers(0, 3))):
-        g = draw(st.sampled_from(gens))
-        gens.append(lcm(g, draw(squarefree_monomials(X6))) if draw(st.booleans()) else g)
-    return draw(st.permutations(gens))
 
 
 class TestIdealInvariants:
@@ -256,6 +267,41 @@ class TestIdealInvariants:
     def test_rejects_a_repeated_squarefree_generator(self):
         with pytest.raises(ValueError, match="not an antichain: x divides x;"):
             MonomialIdeal(XYZ, (mono(XYZ, "x"), mono(XYZ, "y"), mono(XYZ, "x")))
+
+    @given(squarefree_ideals(X6, max_gens=6), st.randoms(use_true_random=False))
+    def test_monomials_and_masks_give_the_same_ideal(self, I, rng):
+        masks = [sum(e << i for i, e in enumerate(g.exponents)) for g in I.generators]
+        shuffled = rng.sample(masks, len(masks))
+        for J in (
+            MonomialIdeal(I.vars, I.generators),
+            MonomialIdeal._of_masks(I.vars, masks),
+        ):
+            assert J == I and hash(J) == hash(I)
+            assert J.generators == I.generators
+            assert str(J) == str(I)
+            assert J.is_squarefree() and I.is_squarefree()
+            assert J.same_ideal(I) and J.same_ideal(MonomialIdeal._of_masks(I.vars, shuffled))
+
+    @given(squarefree_lists_with_repeats_and_multiples())
+    def test_masks_refuse_what_monomials_refuse(self, gens):
+        masks = [sum(e << i for i, e in enumerate(g.exponents)) for g in gens]
+        found = divides_antichain_violation(gens)
+        if found is None:
+            assert MonomialIdeal._of_masks(X6, masks).generators == tuple(gens)
+            return
+        with pytest.raises(ValueError) as by_masks:
+            MonomialIdeal._of_masks(X6, masks)
+        with pytest.raises(ValueError) as by_monomials:
+            MonomialIdeal(X6, tuple(gens))
+        assert str(by_masks.value) == str(by_monomials.value)
+
+    def test_levels_decide_squarefree_and_same_ideal(self):
+        # (x, y) and (x^2, y) have the same masks under different levels.
+        I = MonomialIdeal(XYZ, (mono(XYZ, "x"), mono(XYZ, "y")))
+        J = MonomialIdeal(XYZ, (mono(XYZ, "x^2"), mono(XYZ, "y")))
+        assert I._masks == J._masks
+        assert I.is_squarefree() and not J.is_squarefree()
+        assert not I.same_ideal(J) and I != J
 
     def test_order_sensitive_identity_and_set_equality(self):
         I = six_var_ideal()
@@ -376,6 +422,7 @@ class TestTextFormat:
             ("vars\nx\n", ParseError, 1, 1, "empty vars header"),
             ("# c\n  vars  \nx\n", ParseError, 2, 1, "empty vars header"),
             ("x*&\n", ParseError, 1, 3, "bad factor '&'"),
+            ("x * &\n", ParseError, 1, 5, "bad factor '&'"),
             ("x, y*2z\n", ParseError, 1, 6, "bad factor '2z'"),
             ("x^\n", ParseError, 1, 1, "bad factor 'x^'"),
             (" x ,  y ^ 2 * * z\n", ParseError, 1, 14, "bad factor ''"),
@@ -416,4 +463,4 @@ class TestTextFormat:
         digits = "9" * (sys.get_int_max_str_digits() + 1)
         with pytest.raises(ParseError) as err:
             parse_ideal(f"y,\n  z * x^{digits}\n")
-        assert str(err.value) == "line 2, column 6: exponent too long"
+        assert str(err.value) == "line 2, column 7: exponent too long"

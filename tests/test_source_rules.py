@@ -153,3 +153,17 @@ def test_only_complexes_turns_vertex_bits_into_names():
         and any("_mask_names" in named for _, named in _names_by_statement(path))
     )
     assert found == []
+
+
+def test_homology_imports_nothing_from_resolution():
+    # The homology oracles check the tree constructions, so they stand apart.
+    found = [
+        node.lineno
+        for node in ast.walk(ast.parse((SRC / "homology.py").read_text()))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and any(
+            "resolution" in name.split(".")
+            for name in [getattr(node, "module", None) or "", *(a.name for a in node.names)]
+        )
+    ]
+    assert found == []
