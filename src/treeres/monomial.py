@@ -10,10 +10,11 @@ predicate (``MonomialIdeal.same_ideal``).
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from operator import getitem, le
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, NoReturn, Sequence
 
 
 class ParseError(ValueError):
@@ -25,7 +26,8 @@ class ParseError(ValueError):
         self.column = column
 
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_NAME_RE = re.compile(rf"{_NAME}\Z")
 
 
 @dataclass(frozen=True)
@@ -96,13 +98,6 @@ class Monomial:
     @classmethod
     def one(cls, vars: VariableSet) -> "Monomial":
         return cls(vars, (0,) * vars.n)
-
-    @classmethod
-    def from_powers(cls, vars: VariableSet, powers: Mapping[str, int]) -> "Monomial":
-        exps = [0] * vars.n
-        for name, e in powers.items():
-            exps[vars.index(name)] += e
-        return cls(vars, tuple(exps))
 
     def degree(self) -> int:
         return sum(self.exponents)
@@ -335,7 +330,47 @@ def polarize(I: MonomialIdeal) -> tuple[MonomialIdeal, dict[str, tuple[str, int]
 # newlines or commas, each a '*'-separated product of name or name^k factors.
 # ---------------------------------------------------------------------------
 
-_FACTOR_RE = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*)\s*(?:\^\s*(\d+))?\s*\Z")
+_FACTOR_RE = re.compile(rf"\s*({_NAME})\s*(?:\^\s*(\d+))?\s*\Z")
+_TERM = rf"\s*{_NAME}\s*(?:\^\s*\d+)?\s*"  # a factor, capturing nothing
+_PRODUCT_RE = re.compile(rf"{_TERM}(?:\*{_TERM})*\Z")
+_POWER_RE = re.compile(rf"({_NAME})\s*(?:\^\s*(\d+))?")
+_NAMES_RE = re.compile(_NAME)
+
+
+def _powers(gen_text: str, line_no: int, col: int) -> dict[str, int]:
+    """Each name of a generator's text with its summed exponent, in order
+    of first appearance.  One match checks the whole product; a text
+    without ``^`` is a product of names, so its names are counted."""
+    if _PRODUCT_RE.match(gen_text):
+        if "^" not in gen_text:
+            return Counter(_NAMES_RE.findall(gen_text))
+        powers: dict[str, int] = {}
+        try:
+            for name, digits in _POWER_RE.findall(gen_text):
+                powers[name] = powers.get(name, 0) + int(digits or 1)
+            return powers
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            pass
+    _raise_factor_error(gen_text, line_no, col)
+
+
+def _raise_factor_error(gen_text: str, line_no: int, col: int) -> NoReturn:
+    """Raise the error of the first factor that does not parse in a
+    generator's text starting at column ``col``; ``_powers`` has found
+    that one does not."""
+    offset = col
+    for piece in gen_text.split("*"):
+        m = _FACTOR_RE.match(piece)
+        if not m:
+            # At its first non-blank character; an all-blank piece at its start.
+            blank = len(piece) - len(piece.lstrip())
+            at = offset + (blank if blank < len(piece) else 0)
+            raise ParseError(f"bad factor {piece.strip()!r}", line_no, at)
+        try:
+            int(m.group(2) or 1)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise ParseError("exponent too long", line_no, offset + m.start(1)) from None
+        offset += len(piece) + 1
 
 
 def parse_ideal(text: str) -> MonomialIdeal:
@@ -359,25 +394,7 @@ def parse_ideal(text: str) -> MonomialIdeal:
             gen_text = chunk.strip()
             if gen_text:
                 col = chunk_col + chunk.index(gen_text[0])
-                powers: dict[str, int] = {}
-                offset = col
-                for piece in gen_text.split("*"):
-                    m = _FACTOR_RE.match(piece)
-                    if not m:
-                        # At its first non-blank character; an all-blank piece at its start.
-                        blank = len(piece) - len(piece.lstrip())
-                        at = offset + (blank if blank < len(piece) else 0)
-                        raise ParseError(f"bad factor {piece.strip()!r}", line_no, at)
-                    name, digits = m.groups()
-                    try:
-                        exp = int(digits or 1)
-                    except ValueError:  # more digits than sys.get_int_max_str_digits()
-                        raise ParseError(
-                            "exponent too long", line_no, offset + m.start(1)
-                        ) from None
-                    powers[name] = powers.get(name, 0) + exp
-                    offset += len(piece) + 1
-                parsed.append((line_no, col, powers))
+                parsed.append((line_no, col, _powers(gen_text, line_no, col)))
             chunk_col += len(chunk) + 1
     # An empty body, or one of commas and blanks only, reads no generator.
     if not parsed:
@@ -388,16 +405,21 @@ def parse_ideal(text: str) -> MonomialIdeal:
         vars = VariableSet(tuple(dict.fromkeys([n for _, _, p in parsed for n in p])))
     else:
         vars = VariableSet(tuple(header))
+        declared = vars._index.keys()
         for line_no, col, powers in parsed:
-            for name in powers:
-                if name not in vars:
-                    raise ParseError(f"variable {name!r} not declared", line_no, col)
+            if not powers.keys() <= declared:
+                name = next(n for n in powers if n not in declared)
+                raise ParseError(f"variable {name!r} not declared", line_no, col)
 
+    index, zeros = vars._index, [0] * vars.n
     gens = []
     for line_no, col, powers in parsed:
         if not any(powers.values()):
             raise ParseError("generator equal to 1", line_no, col)
-        gens.append(Monomial.from_powers(vars, powers))
+        exps = zeros.copy()
+        for name, e in powers.items():
+            exps[index[name]] = e
+        gens.append(Monomial(vars, tuple(exps)))
     try:
         return MonomialIdeal(vars, tuple(gens))
     except ValueError as exc:

@@ -10,6 +10,7 @@ and column permutation and a global sign per column.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import sub
 from typing import Iterator, Sequence
 
@@ -64,6 +65,11 @@ class LabeledComplex:
 
     def label_of(self, vertex: str) -> Monomial:
         return self.labels[self.complex.vertices.index(vertex)]
+
+    @cached_property
+    def _label_masks(self) -> tuple[int, ...]:
+        """The labels' ``exponent_masks``: lcm is ``|``, divisibility inclusion."""
+        return tuple(exponent_masks(self.labels)[0])
 
 
 @dataclass(frozen=True)
@@ -159,7 +165,9 @@ def supports_resolution(L: LabeledComplex) -> bool:
     Requires the underlying complex to be a simplicial forest; checks that
     for every lattice element the subcomplex induced on vertices whose
     labels divide it is connected (empty or one vertex counts).  A graph
-    forest is checked pair by pair along its paths; higher dimensions
+    forest is decided by counting, in O(q) mask operations: it must be a
+    tree, and for every label bit the vertices whose labels lack it must
+    induce a subtree (``_paths_under_pair_lcms``).  Higher dimensions
     sweep the lattice.
     """
     if not is_simplicial_forest(L.complex):
@@ -176,32 +184,36 @@ def _paths_under_pair_lcms(L: LabeledComplex) -> bool:
     This is the lattice criterion pair by pair (Bayer-Peeva-Sturmfels):
     lcm(l_a, l_b) is a lattice element, a connected induced subforest
     holding a and b holds their path, and every lattice element divisible
-    by l_a and l_b is divisible by their lcm.  One search per source
-    carries the lcm of the interior labels as an ``exponent_masks`` mask,
-    on which lcm is bitwise or and divisibility is inclusion: O(q^2) steps.
+    by l_a and l_b is divisible by their lcm.  It is decided by counting
+    on the labels' masks, on which lcm is bitwise or and divisibility is
+    inclusion.  Let U be the or of the labels of the used vertices V, and
+    for a bit b of U let C_b be the vertices of V whose labels lack b.  An
+    inner vertex w of the a-b path fails to divide lcm(l_a, l_b) iff some
+    bit b of l_w is in neither end label, that is iff a and b lie in C_b
+    and w does not.  So every pair passes iff the forest is one tree and
+    every C_b holds the paths between its vertices, that is induces a
+    subtree.  A vertex set C of a forest induces |C| - e(C) components,
+    e(C) its edges with both ends in C, which is at least 1 when C is
+    nonempty; so every C_b is connected iff the sum of |C_b| - e(C_b) over
+    the bits of U is the number of nonempty C_b.  With lack_v = U & ~l_v,
+    that sum is the popcounts of the lack_v less those of lack_a & lack_b
+    over the edges ab, and the nonempty C_b are the bits of the or of the
+    lack_v: O(q) mask operations.
     """
     D = L.complex
     used = _union(D._facet_masks)
-    adjacent: dict[int, list[int]] = {i: [] for i in range(D.n) if used >> i & 1}
-    for f in D._facet_masks:
-        if f.bit_count() == 2:
-            a, b = (f & -f).bit_length() - 1, f.bit_length() - 1
-            adjacent[a].append(b)
-            adjacent[b].append(a)
-    labels, _ = exponent_masks(L.labels)
-    for source in adjacent:
-        reached = 1
-        stack = [(v, source, 0) for v in adjacent[source]]
-        while stack:
-            v, parent, interior = stack.pop()
-            reached += 1
-            if interior & ~(labels[source] | labels[v]):
-                return False
-            inner = interior | labels[v]
-            stack.extend((w, v, inner) for w in adjacent[v] if w != parent)
-        if reached < len(adjacent):
-            return False
-    return True
+    vertices = [v for v in range(D.n) if used >> v & 1]
+    edges = [f for f in D._facet_masks if f.bit_count() == 2]
+    if len(vertices) - len(edges) != 1:
+        return False
+    labels = L._label_masks
+    top = _union([labels[v] for v in vertices])
+    lack = [top & ~lab for lab in labels]
+    inside = sum([lack[v].bit_count() for v in vertices]) - sum([
+        (lack[(f & -f).bit_length() - 1] & lack[f.bit_length() - 1]).bit_count()
+        for f in edges
+    ])
+    return inside == _union([lack[v] for v in vertices]).bit_count()
 
 
 def _divisor_induced_connected(L: LabeledComplex) -> bool:
@@ -215,7 +227,7 @@ def _divisor_induced_connected(L: LabeledComplex) -> bool:
     """
     D = L.complex
     used = _union(D._facet_masks)
-    labels, _ = exponent_masks(L.labels)
+    labels = L._label_masks
     for top in lcm_closure(labels):
         W = used & sum([1 << v for v, lab in enumerate(labels) if lab & ~top == 0])
         components = _vertex_components(D.n, [f & W for f in D._facet_masks])
@@ -239,11 +251,15 @@ def is_minimal_support(F: FreeComplex) -> bool:
     )
 
 
-def _tree_complex(q: int, edges: Sequence[tuple[int, int]]) -> SimplicialComplex:
+def _tree_labeled(I: MonomialIdeal, edges: Sequence[tuple[int, int]]) -> LabeledComplex:
     """The graph on generator vertices v1..vq with one edge mask per edge,
-    in edge order; no edges gives the single vertex v1."""
+    in edge order, labeled by I's generators; no edges gives the single
+    vertex v1.  Its label masks are the ones the ideal holds."""
     masks = [(1 << a) | (1 << b) for a, b in edges] or [1]
-    return SimplicialComplex._of_masks(_generator_vertex_names(q), masks)
+    D = SimplicialComplex._of_masks(_generator_vertex_names(I.q), masks)
+    L = LabeledComplex(D, I.generators)
+    object.__setattr__(L, "_label_masks", I._masks)  # fills the cached property
+    return L
 
 
 def build_tree(D: SimplicialComplex) -> LabeledComplex:
@@ -276,13 +292,13 @@ def _tree_on(I: MonomialIdeal) -> tuple[tuple[int, ...], LabeledComplex] | None:
     if found is None:
         return None
     order, edges = found
-    return order, LabeledComplex(_tree_complex(I.q, edges), I.generators)
+    return order, _tree_labeled(I, edges)
 
 
 def enumerate_trees(D: SimplicialComplex) -> Iterator[LabeledComplex]:
     """Every distinct labeled tree the construction can produce; refuses
     past _TREE_GUARD partial edge lists across all leaf orders."""
-    labels = dual_generators(D).generators
+    I = dual_generators(D)
     seen: set[frozenset[tuple[int, int]]] = set()
     walked = 0
 
@@ -298,7 +314,7 @@ def enumerate_trees(D: SimplicialComplex) -> Iterator[LabeledComplex]:
             if key in seen:
                 continue
             seen.add(key)
-            yield LabeledComplex(_tree_complex(D.q, edges), labels)
+            yield _tree_labeled(I, edges)
 
 
 def floystad_tree(I: MonomialIdeal) -> LabeledComplex:
@@ -319,7 +335,7 @@ def floystad_tree(I: MonomialIdeal) -> LabeledComplex:
          for i in range(q) for j in range(i + 1, q)),
     )
     edges = _forest_edges(q, [(i, j) for _, i, j in candidates])
-    return LabeledComplex(_tree_complex(q, edges), gens)
+    return _tree_labeled(I, edges)
 
 
 # ---------------------------------------------------------------------------

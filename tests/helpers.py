@@ -10,6 +10,7 @@ from treeres.monomial import (
     MonomialIdeal,
     VariableSet,
     divides,
+    exponent_masks,
     lcm,
     minimalize,
     parse_ideal,
@@ -20,6 +21,7 @@ from treeres.complexes import (
     VoidComplex,
     _DisjointSets,
     _masks_by_size,
+    _union,
     faces,
     full_simplex,
     induced,
@@ -51,12 +53,12 @@ def variables_ideal(q: int) -> MonomialIdeal:
 def mono(vars: VariableSet, text: str) -> Monomial:
     """The monomial written as 1 or as a '*'-separated product of name
     and name^k factors."""
-    powers: dict[str, int] = {}
+    exps = [0] * vars.n
     if text.strip() != "1":
         for factor in text.split("*"):
             name, _, exp = factor.strip().partition("^")
-            powers[name] = powers.get(name, 0) + int(exp or 1)
-    return Monomial.from_powers(vars, powers)
+            exps[vars.index(name)] += int(exp or 1)
+    return Monomial(vars, tuple(exps))
 
 
 def exponents_over(top: Monomial, bottom: Monomial) -> tuple[int, ...]:
@@ -492,3 +494,52 @@ def induced_divisor_connected(L) -> bool:
         if isinstance(sub, SimplicialComplex) and len(facet_pair_components(sub)) > 1:
             return False
     return True
+
+
+def pair_path_support(L) -> bool:
+    """On a graph forest: every two used vertices are joined by a path
+    whose inner labels all divide the lcm of the two end labels.  One
+    search per source carries the or of the inner labels' ``exponent_masks``
+    masks, on which lcm is ``|`` and divisibility inclusion: O(q^2) steps,
+    independent of the counting in ``resolution._paths_under_pair_lcms``."""
+    D = L.complex
+    used = _union(D._facet_masks)
+    adjacent: dict[int, list[int]] = {i: [] for i in range(D.n) if used >> i & 1}
+    for f in D._facet_masks:
+        if f.bit_count() == 2:
+            a, b = (f & -f).bit_length() - 1, f.bit_length() - 1
+            adjacent[a].append(b)
+            adjacent[b].append(a)
+    labels, _ = exponent_masks(L.labels)
+    for source in adjacent:
+        reached = 1
+        stack = [(v, source, 0) for v in adjacent[source]]
+        while stack:
+            v, parent, interior = stack.pop()
+            reached += 1
+            if interior & ~(labels[source] | labels[v]):
+                return False
+            inner = interior | labels[v]
+            stack.extend((w, v, inner) for w in adjacent[v] if w != parent)
+        if reached < len(adjacent):
+            return False
+    return True
+
+
+def graph_forests(q: int) -> list[SimplicialComplex]:
+    """Every forest on the vertices v1..vq, by edge sets in combination
+    order, with each vertex no edge touches as a vertex facet: 1, 2, 7 and
+    38 of them for q = 1..4, of which 1, 1, 3 and 16 are spanning trees
+    (q - 1 edges)."""
+    names = [f"v{i + 1}" for i in range(q)]
+    pairs = list(itertools.combinations(range(q), 2))
+    out = []
+    for k in range(q):
+        for edges in itertools.combinations(pairs, k):
+            sets = _DisjointSets(q)
+            if all(sets.union(a, b) for a, b in edges):
+                touched = {v for e in edges for v in e}
+                facets = [(names[a], names[b]) for a, b in edges]
+                facets += [(names[v],) for v in range(q) if v not in touched]
+                out.append(cx(names, facets))
+    return out

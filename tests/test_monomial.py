@@ -39,6 +39,8 @@ from strategies import (
 )
 
 X6 = VariableSet(tuple(f"x{i}" for i in range(1, 7)))
+# The most digits int() reads from text; 0 where there is no limit.
+_INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 class TestDivides:
@@ -417,6 +419,17 @@ class TestTextFormat:
         assert parse_ideal(format_ideal(I)) == I
 
     @pytest.mark.parametrize(
+        "text, generators",
+        [
+            ("x*x^2\n", ["x^3"]),
+            ("x*y*x\n", ["x^2*y"]),
+            (" y ^ 2 * x ^0 ,x^1*z\n", ["y^2", "x*z"]),
+        ],
+    )
+    def test_repeated_factors_add_their_exponents(self, text, generators):
+        assert [str(g) for g in parse_ideal(text).generators] == generators
+
+    @pytest.mark.parametrize(
         "text, error, line, column, message",
         [
             ("vars\nx\n", ParseError, 1, 1, "empty vars header"),
@@ -444,6 +457,15 @@ class TestTextFormat:
             # A line of commas is body, so a later vars line is a factor.
             (",,,\nvars x\n", ParseError, 2, 1, "bad factor 'vars x'"),
             ("vars x\nvars y\n", ParseError, 2, 1, "bad factor 'vars y'"),
+            # The first undeclared name in text order wins.
+            ("vars x\nx*z*y\n", ParseError, 2, 1, "variable 'z' not declared"),
+            # An over-long exponent in a well-formed product, at its factor.
+            pytest.param(
+                f"x*y^{'9' * (_INT_DIGITS + 1)}*z\n", ParseError, 1, 3,
+                "exponent too long",
+                marks=pytest.mark.skipif(not _INT_DIGITS, reason="no int digit limit"),
+                id="exponent-too-long-in-product",
+            ),
         ],
     )
     def test_error_messages_and_positions(self, text, error, line, column, message):

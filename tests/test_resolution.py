@@ -54,16 +54,19 @@ from helpers import (
     facet_pair_components,
     frame_from_matrices,
     frame_matrices,
+    graph_forests,
     hollow_triangle,
     induced_divisor_connected,
     mono,
     name_faces,
+    pair_path_support,
     pairwise_lcm_closure,
     printed_matrix_fingerprint,
     read_free_complex,
     read_labeled_complex,
     six_var_ideal,
     star_ideal,
+    three_variable_ideals,
     tuple_homogenize,
     variables_ideal,
 )
@@ -265,11 +268,72 @@ class TestDivisorOracle:
 
 
 class TestTreePathSupport:
-    """Graph forests are checked along paths; the lattice sweep is the oracle."""
+    """Graph forests are decided by counting: the forest must be one tree,
+    and for each label bit b the vertices whose labels lack b must induce
+    a subtree, since an inner vertex of the a-b path fails to divide
+    lcm(l_a, l_b) iff its label holds a bit that both end labels lack.  A
+    vertex set C of a forest induces |C| - e(C) >= 1 components when it is
+    nonempty, so the subtree test is one sum of popcounts over vertices
+    less one over edges, against the number of bits some label lacks.  The
+    oracles are the lattice sweep and the pairwise path walk of
+    ``helpers.pair_path_support``."""
 
     @given(labeled_forests())
     def test_agrees_with_lattice_sweep(self, L):
         assert supports_resolution(L) == _divisor_induced_connected(L)
+
+    @given(labeled_forests())
+    def test_agrees_with_pair_path_walk(self, L):
+        assert supports_resolution(L) == pair_path_support(L)
+
+    def test_every_forest_on_the_census_duals(self):
+        # Each census dual with q <= 4 generators labels every forest on
+        # q vertices, disconnected ones included, in generator order and
+        # reversed.
+        forests = {q: graph_forests(q) for q in range(1, 5)}
+        checked = failing = 0
+        for D in census_complexes(5):
+            if D.q > 4 or is_full_simplex(D):
+                continue
+            labels = dual_generators(D).generators
+            for E in forests[D.q]:
+                for L in (LabeledComplex(E, labels), LabeledComplex(E, labels[::-1])):
+                    verdict = supports_resolution(L)
+                    assert verdict == pair_path_support(L), L
+                    checked += 1
+                    failing += not verdict
+        assert (checked, failing) == (158280, 154116)
+
+    def test_every_spanning_tree_of_the_three_variable_ideals(self):
+        trees = {
+            q: [E for E in graph_forests(q)
+                if sum([f.bit_count() == 2 for f in E._facet_masks]) == q - 1]
+            for q in range(1, 5)
+        }
+        checked = failing = 0
+        for I in three_variable_ideals():
+            for E in trees.get(I.q, []):
+                L = LabeledComplex(E, I.generators)
+                verdict = supports_resolution(L)
+                assert verdict == pair_path_support(L), L
+                checked += 1
+                failing += not verdict
+        assert (checked, failing) == (6198, 5518)
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_two_thousand_vertex_path(self, swap):
+        # v_i carries x^(2000 - i) * y^(i + 1): the labels between two
+        # vertices divide their lcm exactly, until two labels trade places.
+        V = VariableSet(("x", "y"))
+        exps = [(2000 - i, i + 1) for i in range(2000)]
+        if swap:
+            exps[700], exps[1300] = exps[1300], exps[700]
+        names = [f"v{i + 1}" for i in range(2000)]
+        L = LabeledComplex(
+            cx(names, list(zip(names, names[1:]))),
+            tuple(Monomial(V, e) for e in exps),
+        )
+        assert supports_resolution(L) is not swap
 
     def test_twenty_five_vertex_path_builds_no_lattice(self, monkeypatch):
         def no_lattice(masks):
