@@ -10,7 +10,6 @@ predicate (``MonomialIdeal.same_ideal``).
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from operator import getitem, le
@@ -330,20 +329,18 @@ def polarize(I: MonomialIdeal) -> tuple[MonomialIdeal, dict[str, tuple[str, int]
 # newlines or commas, each a '*'-separated product of name or name^k factors.
 # ---------------------------------------------------------------------------
 
-_FACTOR_RE = re.compile(rf"\s*({_NAME})\s*(?:\^\s*(\d+))?\s*\Z")
-_TERM = rf"\s*{_NAME}\s*(?:\^\s*\d+)?\s*"  # a factor, capturing nothing
+# The blanks before '^' sit inside its optional group, so two runs of
+# blanks never meet and a failing match cannot split a run 2^n ways.
+_FACTOR_RE = re.compile(rf"\s*({_NAME})(?:\s*\^\s*(\d+))?\s*\Z")
+_TERM = rf"\s*{_NAME}(?:\s*\^\s*\d+)?\s*"  # a factor, capturing nothing
 _PRODUCT_RE = re.compile(rf"{_TERM}(?:\*{_TERM})*\Z")
 _POWER_RE = re.compile(rf"({_NAME})\s*(?:\^\s*(\d+))?")
-_NAMES_RE = re.compile(_NAME)
 
 
 def _powers(gen_text: str, line_no: int, col: int) -> dict[str, int]:
     """Each name of a generator's text with its summed exponent, in order
-    of first appearance.  One match checks the whole product; a text
-    without ``^`` is a product of names, so its names are counted."""
+    of first appearance.  One match checks the whole product."""
     if _PRODUCT_RE.match(gen_text):
-        if "^" not in gen_text:
-            return Counter(_NAMES_RE.findall(gen_text))
         powers: dict[str, int] = {}
         try:
             for name, digits in _POWER_RE.findall(gen_text):

@@ -66,6 +66,14 @@ class LabeledComplex:
     def label_of(self, vertex: str) -> Monomial:
         return self.labels[self.complex.vertices.index(vertex)]
 
+    @classmethod
+    def _of_ideal(cls, complex: SimplicialComplex, I: MonomialIdeal) -> LabeledComplex:
+        """``complex`` labeled by I's generators in order."""
+        L = cls(complex, I.generators)
+        # Fills the cached property: I holds its generators' masks already.
+        object.__setattr__(L, "_label_masks", I._masks)
+        return L
+
     @cached_property
     def _label_masks(self) -> tuple[int, ...]:
         """The labels' ``exponent_masks``: lcm is ``|``, divisibility inclusion."""
@@ -254,12 +262,10 @@ def is_minimal_support(F: FreeComplex) -> bool:
 def _tree_labeled(I: MonomialIdeal, edges: Sequence[tuple[int, int]]) -> LabeledComplex:
     """The graph on generator vertices v1..vq with one edge mask per edge,
     in edge order, labeled by I's generators; no edges gives the single
-    vertex v1.  Its label masks are the ones the ideal holds."""
+    vertex v1."""
     masks = [(1 << a) | (1 << b) for a, b in edges] or [1]
     D = SimplicialComplex._of_masks(_generator_vertex_names(I.q), masks)
-    L = LabeledComplex(D, I.generators)
-    object.__setattr__(L, "_label_masks", I._masks)  # fills the cached property
-    return L
+    return LabeledComplex._of_ideal(D, I)
 
 
 def build_tree(D: SimplicialComplex) -> LabeledComplex:

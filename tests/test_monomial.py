@@ -1,5 +1,6 @@
 import dataclasses
 import sys
+import time
 
 import pytest
 from hypothesis import given
@@ -486,3 +487,20 @@ class TestTextFormat:
         with pytest.raises(ParseError) as err:
             parse_ideal(f"y,\n  z * x^{digits}\n")
         assert str(err.value) == "line 2, column 7: exponent too long"
+
+    @pytest.mark.parametrize(
+        "text, column, message",
+        [
+            pytest.param(" *".join(["x"] * 26) + " *&", 79, "bad factor '&'", id="ampersand"),
+            pytest.param(" * ".join(["x"] * 26) + " *", 104, "bad factor ''", id="trailing-star"),
+            pytest.param(" * ".join(["x "] * 16) + "^", 76, "bad factor 'x ^'", id="bare-caret"),
+        ],
+    )
+    def test_a_bad_long_product_fails_in_linear_time(self, text, column, message):
+        # A product match in which two runs of blanks could meet would try
+        # every split of them before failing: 2^26 or 3^16 ways here.
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as err:
+            parse_ideal(text)
+        assert time.perf_counter() - start < 1.0
+        assert str(err.value) == f"line 1, column {column}: {message}"

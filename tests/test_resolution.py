@@ -31,6 +31,7 @@ from treeres.resolution import (
     FreeComplex,
     LabeledComplex,
     _divisor_induced_connected,
+    _tree_labeled,
     _tree_on,
     build_tree,
     enumerate_trees,
@@ -191,6 +192,17 @@ class TestLabeledComplex:
         edge = cx(["v1", "v2"], [("v1", "v2")])
         with pytest.raises(ValueError, match="mixed variable sets"):
             LabeledComplex(edge, (mono(V, "x1"), mono(W, "y1")))
+
+    def test_labels_of_an_ideal_keep_the_masks_they_encode_to(self):
+        # Ideals built from monomials (non-squarefree ones among them) and
+        # from masks (the duals) hold what exponent_masks gives.
+        ideals = three_variable_ideals() + [
+            dual_generators(D) for D in census_complexes(4) if not is_full_simplex(D)
+        ]
+        for I in ideals:
+            edges = [(0, 1)] if I.q > 1 else []
+            L = _tree_labeled(I, edges)
+            assert L._label_masks == tuple(exponent_masks(L.labels)[0]), I
 
 
 class TestLcmLattice:
